@@ -236,6 +236,8 @@ func NewLifecycleFileState(path string) (LifecycleState, error) {
 	return lifecycle.NewFileState(path)
 }
 
-// HashData exposes the content-hash used for file and chunk identities
-// (hex SHA-1), for callers that want to verify data out of band.
+// HashData exposes the content hash used for chunk identities (hex
+// SHA-1), for callers that want to verify data out of band. A file's ID
+// is the same digest taken over its chunk list (record format v2), or
+// over its content for records written in format v1.
 func HashData(data []byte) string { return metadata.HashData(data) }

@@ -266,7 +266,10 @@ func (c *Client) ReencodeClass(ctx context.Context, name, targetClass string) (c
 		return false, err
 	}
 
+	// The file ID leaves (t, n) and class out under either record format,
+	// so the re-encoded version keeps the head's ID and format.
 	newMeta := &metadata.FileMeta{
+		Format: head.Format,
 		File: metadata.FileMap{
 			ID:       head.File.ID,
 			PrevID:   head.VersionID(),

@@ -554,8 +554,7 @@ func mustHeadVersion(t *testing.T, c *Client, name string) string {
 func buildVersion(t *testing.T, c *Client, name string, data []byte, parentVID string) *metadata.FileMeta {
 	t.Helper()
 	chunks := c.chunk.Split(data)
-	meta := &metadata.FileMeta{File: metadata.FileMap{
-		ID:       metadata.HashData(data),
+	meta := &metadata.FileMeta{Format: metadata.FormatV2, File: metadata.FileMap{
 		PrevID:   parentVID,
 		ClientID: c.cfg.ClientID,
 		Name:     name,
@@ -589,5 +588,6 @@ func buildVersion(t *testing.T, c *Client, name string, data []byte, parentVID s
 			seen[id] = true
 		}
 	}
+	meta.File.ID = metadata.ChunkListID(meta.Chunks)
 	return meta
 }

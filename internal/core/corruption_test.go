@@ -23,7 +23,17 @@ func corruptOneShare(t *testing.T, b *cloudsim.Backend) string {
 	if err != nil || len(infos) == 0 {
 		return ""
 	}
-	name := infos[0].Name
+	corruptObject(t, b, infos[0].Name)
+	return infos[0].Name
+}
+
+// corruptObject flips a payload byte of the named share object.
+func corruptObject(t *testing.T, b *cloudsim.Backend, name string) {
+	t.Helper()
+	s := cloudsim.NewSimStore(b)
+	if err := s.Authenticate(context.Background(), csp.Credentials{Token: "t"}); err != nil {
+		t.Fatal(err)
+	}
 	data, err := s.Download(bg, name)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +42,6 @@ func corruptOneShare(t *testing.T, b *cloudsim.Backend) string {
 	if err := s.Upload(bg, name, data); err != nil {
 		t.Fatal(err)
 	}
-	return name
 }
 
 func TestDownloadCorrectsCorruptShare(t *testing.T) {
@@ -64,6 +73,69 @@ func TestDownloadCorrectsCorruptShare(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("corrected download returned wrong bytes")
+	}
+}
+
+func TestDownloadCorrectsTwoCorruptSharesOfAChunk(t *testing.T) {
+	t.Parallel()
+	env := newEnv(t, 4)
+	// (2,4) with two of one chunk's shares corrupt is past the unique-
+	// decoding bound, but the clean pair still decodes to bytes matching
+	// the chunk ID, and the read heals both bad shares.
+	c := env.client("alice", func(cfg *Config) { cfg.N = 4 })
+	data := randData(73, 200) // single chunk
+	if err := c.Put(bg, "doc", data); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the two shares a read actually fetches (the selector keeps
+	// its pick), so the plain decode fails and correction must run.
+	var mu sync.Mutex
+	fetched := make(map[int]string)
+	c.Subscribe(func(ev Event) {
+		if ev.Type == EvShareGet && ev.Err == nil {
+			mu.Lock()
+			fetched[ev.Index] = ev.CSP
+			mu.Unlock()
+		}
+	})
+	if _, _, err := c.Get(bg, "doc"); err != nil {
+		t.Fatal(err)
+	}
+	ref := headOf(t, c, "doc").Chunks[0]
+	mu.Lock()
+	if len(fetched) != ref.T {
+		mu.Unlock()
+		t.Fatalf("read fetched %d shares, want %d", len(fetched), ref.T)
+	}
+	type victim struct {
+		b    *cloudsim.Backend
+		name string
+		orig []byte
+	}
+	var victims []victim
+	for idx, cspName := range fetched {
+		b, name := env.backends[cspName], c.ShareObjectName(ref.ID, idx, ref.T)
+		victims = append(victims, victim{b, name, snapshotObject(t, b, name)})
+		corruptObject(t, b, name)
+	}
+	mu.Unlock()
+
+	healed := false
+	for i := 0; i < 8 && !healed; i++ {
+		got, _, err := c.Get(bg, "doc")
+		if err != nil {
+			t.Fatalf("download with two corrupt shares of one chunk: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("corrected download returned wrong bytes")
+		}
+		healed = true
+		for _, v := range victims {
+			healed = healed && bytes.Equal(v.orig, snapshotObject(t, v.b, v.name))
+		}
+	}
+	if !healed {
+		t.Fatal("corrupt shares were not healed in place")
 	}
 }
 
@@ -160,17 +232,12 @@ func TestDownloadFailsCleanlyWhenUncorrectable(t *testing.T) {
 	if err := c.Put(bg, "doc", data); err != nil {
 		t.Fatal(err)
 	}
-	corrupted := 0
-	for _, b := range env.backends {
-		if obj := corruptOneShare(t, b); obj != "" {
-			corrupted++
-		}
-		if corrupted == 2 {
-			break
-		}
-	}
-	if corrupted < 2 {
-		t.Skip("could not corrupt two shares")
+	// Both corrupt shares must belong to the same chunk: one corruption
+	// in each of two chunks is detectable and decodes from the clean pair.
+	head := headOf(t, c, "doc")
+	ref := head.Chunks[0]
+	for _, loc := range head.SharesOf(ref.ID)[:2] {
+		corruptObject(t, env.backends[loc.CSP], c.ShareObjectName(ref.ID, loc.Index, ref.T))
 	}
 	_, _, err := c.Get(bg, "doc")
 	if err == nil {

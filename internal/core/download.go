@@ -228,9 +228,7 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 	c.codec.run("decode", ref.Size, func() {
 		data, err = coder.Decode(shares, erasure.MaxN)
 		if err == nil {
-			if got := metadata.HashData(data); got != ref.ID {
-				err = fmt.Errorf("%w: chunk decodes to %s, expected %s", ErrDamaged, got[:8], ref.ID[:8])
-			}
+			err = verifyChunk(ref, data)
 		}
 	})
 	if err != nil {
@@ -248,9 +246,9 @@ func (c *Client) gatherChunk(op *transfer.Op, file string, ref metadata.ChunkRef
 }
 
 // gatherCorrecting fetches all remaining reachable shares of a chunk and
-// attempts an error-correcting decode, verifying against the chunk's
-// content hash. Identified-corrupt shares are re-written with correct
-// bytes (self-healing) on a best-effort basis.
+// decodes the t-subset whose data matches the chunk's ID and size.
+// Identified-corrupt shares are re-written with correct bytes
+// (self-healing) on a best-effort basis.
 func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file string, ref metadata.ChunkRef, locations map[int]string, have []erasure.Share) ([]byte, error) {
 	coder, err := c.coderFor(ref)
 	if err != nil {
@@ -294,12 +292,13 @@ func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file str
 		}
 		all = append(all, erasure.Share{Index: idx, Data: data})
 	}
-	data, corrupt, err := coder.DecodeCorrecting(all, erasure.MaxN)
+	// The chunk ID recognises the right decoding, so the search may go past
+	// the unique-decoding bound: any clean t-subset recovers the chunk.
+	data, corrupt, err := coder.DecodeVerified(all, erasure.MaxN, func(d []byte) bool {
+		return verifyChunk(ref, d) == nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: chunk %s uncorrectable: %v", ErrDamaged, ref.ID[:8], err)
-	}
-	if got := metadata.HashData(data); got != ref.ID {
-		return nil, fmt.Errorf("%w: corrected chunk decodes to %s, expected %s", ErrDamaged, got[:8], ref.ID[:8])
 	}
 	// Self-heal: overwrite the corrupt share objects with correct bytes.
 	// Deliberately a plain Upload even for CAS objects: PutRef would see
@@ -331,6 +330,19 @@ func (c *Client) gatherCorrecting(op *transfer.Op, ctx context.Context, file str
 		}
 	}
 	return data, nil
+}
+
+// verifyChunk checks decoded chunk bytes against the record's chunk ID and
+// size. Both are committed to by a v2 file ID, so a chunk that passes is
+// exactly the bytes the record names.
+func verifyChunk(ref metadata.ChunkRef, data []byte) error {
+	if int64(len(data)) != ref.Size {
+		return fmt.Errorf("%w: chunk %.8s decodes to %d bytes, expected %d", ErrDamaged, ref.ID, len(data), ref.Size)
+	}
+	if got := metadata.HashData(data); got != ref.ID {
+		return fmt.Errorf("%w: chunk decodes to %.8s, expected %.8s", ErrDamaged, got, ref.ID)
+	}
+	return nil
 }
 
 // readable reports whether a provider may serve share downloads: it must

@@ -45,8 +45,9 @@ func (c *Client) GetRange(ctx context.Context, name string, offset, length int64
 	}
 
 	// The streaming fetch path does the planning, windowed gather, and
-	// in-order assembly; a range fetch neither migrates nor verifies the
-	// whole-file hash (only the requested chunks are transferred).
+	// in-order assembly; a range fetch does not migrate, and checks the
+	// file ID only for v2 records, whose root check needs no content
+	// (only the requested chunks are transferred).
 	c.acctAdd(length)
 	defer c.acctSub(length)
 	buf := bytes.NewBuffer(make([]byte, 0, length))

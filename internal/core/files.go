@@ -27,7 +27,7 @@ func fileInfo(m *metadata.FileMeta, conflicted bool) FileInfo {
 // only the marker is added (paper §5.4: "marks its metadata as deleted, but
 // does not actually delete the metadata file").
 func newDeletionMarker(prev *metadata.FileMeta, clientID string, now time.Time) *metadata.FileMeta {
-	return &metadata.FileMeta{File: metadata.FileMap{
+	return &metadata.FileMeta{Format: prev.Format, File: metadata.FileMap{
 		ID:       prev.File.ID,
 		PrevID:   prev.VersionID(),
 		ClientID: clientID,
@@ -170,6 +170,7 @@ func (c *Client) Restore(ctx context.Context, name, versionID string) error {
 		return nil // already current
 	}
 	restored := &metadata.FileMeta{
+		Format: old.Format,
 		File: metadata.FileMap{
 			ID:       old.File.ID,
 			PrevID:   head.VersionID(),

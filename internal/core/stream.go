@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"sync/atomic"
@@ -62,13 +63,17 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	c.syncBestEffort(ctx)
 
 	// The parent version is resolved up front; whether the content is
-	// unchanged is only known once the stream has been consumed.
-	prevID, oldID := "", ""
+	// unchanged is only known once the stream has been consumed. It is
+	// judged by chunk list, whatever the head's record format: a v1 head
+	// re-put with the same content and chunker still yields no new version.
+	prevID, oldList := "", ""
 	oldLive := false
 	if head, _, herr := c.tree.Head(name); herr == nil {
 		prevID = head.VersionID()
-		oldID = head.File.ID
 		oldLive = !head.File.Deleted
+		if oldLive {
+			oldList = metadata.ChunkListID(head.Chunks)
+		}
 	}
 
 	t, n, err := c.shareParamsFor(cls)
@@ -77,6 +82,7 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	}
 
 	meta := &metadata.FileMeta{
+		Format: metadata.FormatV2,
 		File: metadata.FileMap{
 			PrevID:   prevID,
 			ClientID: c.cfg.ClientID,
@@ -98,7 +104,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 	c.acctAdd(ringBytes)
 	defer c.acctSub(ringBytes)
 
-	fileHash := metadata.NewHash()
 	var size int64
 	seenInFile := make(map[string]bool)
 	var window []*putPending // launched, not yet joined (≤ depth)
@@ -135,7 +140,6 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 			break
 		}
 		size += int64(len(ch.Data))
-		fileHash.Write(ch.Data)
 
 		// Hash the chunk on the codec pool (bounded CPU slots, overlapping
 		// the scatters of earlier chunks).
@@ -218,8 +222,10 @@ func (c *Client) PutReaderWith(ctx context.Context, name string, r io.Reader, op
 		return err
 	}
 
-	fileID := metadata.HashSum(fileHash)
-	if oldLive && oldID == fileID {
+	// The file ID is the root over the chunk IDs just computed: each byte
+	// was hashed once, into its chunk's ID.
+	fileID := metadata.ChunkListID(meta.Chunks)
+	if oldLive && oldList == fileID {
 		// Unchanged content: no new version. Any chunks scattered above
 		// were content-addressed re-uploads of existing objects (idempotent).
 		return nil
@@ -451,14 +457,30 @@ type gatherRes struct {
 // fetchTo gathers the chunks of [offset, offset+length) of version m and
 // writes exactly those bytes to w, in order, holding at most PipelineDepth
 // decoded chunks at once. When full is set (whole-file fetches) it also
-// verifies the reassembled content hash, lazily migrates stale shares per
-// chunk while its plaintext is resident, and emits EvFileComplete —
-// matching the batch Get; range fetches (GetRange) do neither.
+// lazily migrates stale shares per chunk while its plaintext is resident,
+// and emits EvFileComplete — matching the batch Get; range fetches
+// (GetRange) do neither.
+//
+// gatherChunk checks every chunk against its ID and size, so for a v2
+// record the file-ID check is a root check over the chunk list, made
+// before any byte is fetched — for range fetches too, since it costs
+// O(#chunks). A v1 record's ID digests the content itself, so a full
+// fetch hashes its delivered bytes a second time and checks them at the
+// end; a v1 range fetch has no file check.
 func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, length int64, w io.Writer, full bool) error {
 	if length == 0 || len(m.Chunks) == 0 {
 		return nil
 	}
 	fetchStart := c.rt.Now()
+	var fileHash hash.Hash
+	if m.Format == metadata.FormatV2 {
+		if got := metadata.ChunkListID(m.Chunks); got != m.File.ID {
+			return fmt.Errorf("%w: file %q: chunk list digests to %.8s, metadata says %.8s",
+				ErrDamaged, m.File.Name, got, m.File.ID)
+		}
+	} else if full {
+		fileHash = metadata.NewHash()
+	}
 
 	// Chunk occurrences overlapping the byte range, in file order.
 	var wanted []metadata.ChunkRef
@@ -492,7 +514,6 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 	depth := c.cfg.PipelineDepth
 	live := make(map[string]*gatherRes) // encoding key -> resident result
 	var window []occEntry
-	var fileHash = metadata.NewHash()
 	var firstErr error
 
 	// deliver pops the oldest window entry: joins its gather, writes the
@@ -516,7 +537,7 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 			hi := min64(e.ref.Offset+e.ref.Size, offset+length)
 			seg := e.res.data[lo-e.ref.Offset : hi-e.ref.Offset]
 			_, dsp := c.obs.Trace(ctx, "chunk.deliver")
-			if full {
+			if fileHash != nil {
 				fileHash.Write(seg)
 			}
 			_, werr := w.Write(seg)
@@ -590,13 +611,15 @@ func (c *Client) fetchTo(ctx context.Context, m *metadata.FileMeta, offset, leng
 	if err := op.Err(); err != nil {
 		return err
 	}
-	if full {
+	if fileHash != nil {
 		if got := metadata.HashSum(fileHash); got != m.File.ID {
 			// The mismatching bytes have already been streamed to w — the
 			// error tells the caller to discard them.
-			return fmt.Errorf("%w: file %q reassembled to %s, metadata says %s",
-				ErrDamaged, m.File.Name, got[:8], m.File.ID[:8])
+			return fmt.Errorf("%w: file %q reassembled to %.8s, metadata says %.8s",
+				ErrDamaged, m.File.Name, got, m.File.ID)
 		}
+	}
+	if full {
 		c.events.emit(Event{Type: EvFileComplete, File: m.File.Name, Bytes: m.File.Size, Duration: c.rt.Now().Sub(fetchStart)})
 	}
 	return nil

@@ -140,3 +140,43 @@ func BenchmarkDecodeCorrecting(b *testing.B) {
 		}
 	}
 }
+
+func TestDecodeVerifiedPastUniqueBound(t *testing.T) {
+	t.Parallel()
+	// (2,4) with two corrupt shares: agreement alone cannot pick the
+	// codeword, so DecodeCorrecting refuses, but a caller that recognises
+	// the data recovers it from the clean pair and learns which are bad.
+	c := NewCoder("k")
+	data := bytes.Repeat([]byte("two bad of four"), 40)
+	shares := mustEncode(t, c, data, 2, 4)
+	shares[0].Data[shareHeaderLen+3] ^= 0x11
+	shares[3].Data[shareHeaderLen+7] ^= 0x22
+	if _, _, err := c.DecodeCorrecting(shares, 4); !errors.Is(err, ErrCorruptShare) {
+		t.Fatalf("DecodeCorrecting err = %v, want ErrCorruptShare", err)
+	}
+	got, corrupt, err := c.DecodeVerified(shares, 4, func(d []byte) bool { return bytes.Equal(d, data) })
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("DecodeVerified: err = %v, data ok = %v", err, bytes.Equal(got, data))
+	}
+	if len(corrupt) != 2 || corrupt[0] != 0 || corrupt[1] != 3 {
+		t.Fatalf("corrupt = %v, want [0 3]", corrupt)
+	}
+}
+
+func TestDecodeVerifiedNeverReturnsRejectedData(t *testing.T) {
+	t.Parallel()
+	c := NewCoder("k")
+	data := bytes.Repeat([]byte("z"), 96)
+	// Clean shares whose decoding the check rejects: an error, not data.
+	shares := mustEncode(t, c, data, 2, 4)
+	if _, _, err := c.DecodeVerified(shares, 4, func([]byte) bool { return false }); !errors.Is(err, ErrCorruptShare) {
+		t.Fatalf("rejecting check: err = %v, want ErrCorruptShare", err)
+	}
+	// Two of three corrupt: the only clean share is below t.
+	shares = mustEncode(t, c, data, 2, 3)
+	shares[0].Data[shareHeaderLen] ^= 1
+	shares[1].Data[shareHeaderLen] ^= 2
+	if _, _, err := c.DecodeVerified(shares, 3, func(d []byte) bool { return bytes.Equal(d, data) }); !errors.Is(err, ErrCorruptShare) {
+		t.Fatalf("2-of-3 corrupt: err = %v, want ErrCorruptShare", err)
+	}
+}

@@ -184,8 +184,8 @@ func AblationMetadata(seed int64) (Report, error) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, size := range []int64{64 << 10, 1 << 20, 16 << 20, 128 << 20} {
 		nChunks := int((size + 4*MB - 1) / (4 * MB))
-		m := &metadata.FileMeta{File: metadata.FileMap{
-			ID: metadata.HashData([]byte{byte(size)}), ClientID: "client", Name: "file.bin",
+		m := &metadata.FileMeta{Format: metadata.FormatV2, File: metadata.FileMap{
+			ClientID: "client", Name: "file.bin",
 			Modified: time.Date(2014, 7, 1, 0, 0, 0, 0, time.UTC), Size: size,
 		}}
 		var off int64
@@ -201,6 +201,7 @@ func AblationMetadata(seed int64) (Report, error) {
 				m.Shares = append(m.Shares, metadata.ShareLoc{ChunkID: id, Index: s, CSP: fmt.Sprintf("csp-%d", rng.Intn(4))})
 			}
 		}
+		m.File.ID = metadata.ChunkListID(m.Chunks)
 		enc, err := metadata.Encode(m)
 		if err != nil {
 			return r, err

@@ -138,7 +138,10 @@ func loadSchedClient() netsim.NodeConfig {
 // percent across runs — hundreds of hedge watchdogs waking at the same
 // virtual instants as transfer completions race on engine state, the one
 // interleaving netsim cannot pin down. The acceptance margins in
-// TestLoadSchedCrossover are set wide enough to absorb it.
+// TestLoadSchedCrossover absorb most of that jitter, not all of it: on a
+// 2-core VM the test fails in a minority of runs, mostly when other
+// processes load the machine. A lone failure there is this jitter; one
+// that repeats is a regression.
 func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 	cfg.defaults()
 	// Equal-size files, unlike the Table-4 mix the other experiments use:

@@ -122,9 +122,10 @@ func (e *simEnv) shareObjects() (map[string]int, error) {
 
 // noChunking returns a chunker config whose minimum chunk size exceeds
 // every test file, so files stay in a single chunk (the Figure-16 "we do
-// not chunk the file" setup).
+// not chunk the file" setup). The paper-testbed configs pin Rabin, the
+// paper's chunker, under which the committed results were measured.
 func noChunking() chunker.Config {
-	return chunker.Config{AverageSize: 256 * MB, MinSize: 64 * MB, MaxSize: 1024 * MB}
+	return chunker.Config{Algorithm: chunker.Rabin, AverageSize: 256 * MB, MinSize: 64 * MB, MaxSize: 1024 * MB}
 }
 
 // testbedChunking is the paper's 4 MB-average content-defined chunking,
@@ -136,7 +137,7 @@ func testbedChunking(scale float64) chunker.Config {
 		scale *= 4
 		avg /= 4
 	}
-	return chunker.Config{AverageSize: avg, MinSize: avg / 4, MaxSize: avg * 4}
+	return chunker.Config{Algorithm: chunker.Rabin, AverageSize: avg, MinSize: avg / 4, MaxSize: avg * 4}
 }
 
 // testbedClouds is the paper's §7.2 emulation: four fast clouds at 15 MB/s

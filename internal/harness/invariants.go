@@ -38,7 +38,7 @@ func (h *Harness) checkpoint(ctx context.Context) {
 
 // absorbDemotions folds lifecycle-published versions into the durability
 // oracle. A demotion republishes acknowledged content under a new version
-// ID the workload never acked; any non-deleted record whose content hash
+// ID the workload never acked; any non-deleted record whose file ID
 // matches an acknowledged write of the same file is that write's demoted
 // (or re-encoded) form and must satisfy the same read-back guarantee —
 // the behavioral durability sweep then re-reads it through its own class's
@@ -48,16 +48,16 @@ func (h *Harness) absorbDemotions(records []*metadata.FileMeta) {
 	if len(h.opts.Classes) == 0 {
 		return
 	}
-	byHash := make(map[string][]byte, len(h.acked))
+	byID := make(map[string][]byte, len(h.acked))
 	for _, aw := range h.acked {
-		byHash[metadata.HashData(aw.Data)] = aw.Data
+		byID[h.fileID(aw.Data)] = aw.Data
 	}
 	for _, m := range records {
 		vid := m.VersionID()
 		if _, known := h.ackedByVID[vid]; known || m.File.Deleted {
 			continue
 		}
-		data, ok := byHash[m.File.ID]
+		data, ok := byID[m.File.ID]
 		if !ok {
 			continue
 		}

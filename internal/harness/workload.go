@@ -66,7 +66,7 @@ func (h *Harness) doPut(ctx context.Context, c *core.Client, name string) {
 		h.report.FailedPuts++
 		return
 	}
-	vid := h.findVersion(c, name, metadata.HashData(data))
+	vid := h.findVersion(c, name, h.fileID(data))
 	if vid == "" {
 		h.violate("read", "acked Put of %s not visible in the writer's own tree", name)
 		return
@@ -105,16 +105,28 @@ func (r *raggedReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// findVersion locates the version node serving the given content for the
+// fileID is the oracle's own prediction of the file ID a Put of data
+// publishes (record format v2): the chunk-list root over the harness's
+// chunking of the acknowledged bytes. It is never read back from a client.
+func (h *Harness) fileID(data []byte) string {
+	chunks := h.chunk.Split(data)
+	refs := make([]metadata.ChunkRef, len(chunks))
+	for i, ch := range chunks {
+		refs[i] = metadata.ChunkRef{ID: metadata.HashData(ch.Data), Size: int64(len(ch.Data))}
+	}
+	return metadata.ChunkListID(refs)
+}
+
+// findVersion locates the version node with the given file ID for the
 // file. The head covers the common case; after conflicting writes the
 // acked version may be a non-head leaf, so fall back to a full scan.
-func (h *Harness) findVersion(c *core.Client, name, contentID string) string {
-	if head, _, err := c.Tree().Head(name); err == nil && head.File.ID == contentID {
+func (h *Harness) findVersion(c *core.Client, name, fileID string) string {
+	if head, _, err := c.Tree().Head(name); err == nil && head.File.ID == fileID {
 		return head.VersionID()
 	}
 	best := ""
 	for _, m := range c.Tree().All() {
-		if m.File.Name != name || m.File.ID != contentID || m.File.Deleted {
+		if m.File.Name != name || m.File.ID != fileID || m.File.Deleted {
 			continue
 		}
 		if vid := m.VersionID(); vid > best {

@@ -15,7 +15,7 @@ import (
 //
 // Layout (big endian):
 //
-//	magic "CYRM" | u8 version |
+//	magic "CYRM" | u8 version (FormatV1 or FormatV2) |
 //	FileMap:  str ID | str PrevID | str ClientID | str Name |
 //	          u8 deleted | i64 modified(unixnano) | i64 size |
 //	ChunkMap: u32 count | per chunk: str ID | i64 offset | i64 size |
@@ -32,6 +32,14 @@ import (
 //	ShareMap: u32 count | per share: str chunkID | u16 index | str csp
 //
 // Strings are u16 length-prefixed UTF-8.
+//
+// The two versions share this layout and differ only in what File.ID
+// digests. A v1 ID is HashData of the file content, so a reader checks it
+// by hashing every byte a second time after each chunk was checked against
+// its own ID. A v2 ID is ChunkListID of the ChunkMap, so a reader checks it
+// in O(#chunks) against chunk IDs it has verified anyway. Decode keeps the
+// version in FileMeta.Format and Encode writes it back, so a v1 record
+// re-encodes byte-identically.
 
 var (
 	magic = [4]byte{'C', 'Y', 'R', 'M'}
@@ -40,7 +48,13 @@ var (
 	ErrBadRecord = errors.New("metadata: malformed record")
 )
 
-const codecVersion = 1
+// Record format versions: the codec's version byte.
+const (
+	// FormatV1 records carry File.ID = HashData(file content).
+	FormatV1 = 1
+	// FormatV2 records carry File.ID = ChunkListID(Chunks).
+	FormatV2 = 2
+)
 
 // casFlag marks a content-addressed chunk in the high bit of the encoded t.
 const casFlag = 0x8000
@@ -60,7 +74,7 @@ func Encode(m *FileMeta) ([]byte, error) {
 	}
 	var b bytes.Buffer
 	b.Write(magic[:])
-	b.WriteByte(codecVersion)
+	b.WriteByte(byte(m.Format))
 	writeString(&b, m.File.ID)
 	writeString(&b, m.File.PrevID)
 	writeString(&b, m.File.ClientID)
@@ -138,10 +152,11 @@ func Decode(data []byte) (*FileMeta, error) {
 	if mg != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadRecord)
 	}
-	if v := r.u8(); v != codecVersion {
+	v := r.u8()
+	if v != FormatV1 && v != FormatV2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRecord, v)
 	}
-	m := &FileMeta{}
+	m := &FileMeta{Format: int(v)}
 	m.File.ID = r.str()
 	m.File.PrevID = r.str()
 	m.File.ClientID = r.str()

@@ -16,9 +16,11 @@ package metadata
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"strings"
 	"time"
 )
@@ -29,7 +31,7 @@ const MetaPrefix = "cyrus-meta-"
 
 // FileMap is the identity table of a version node (paper Figure 6).
 type FileMap struct {
-	ID       string    // SHA-1 (hex) of the file content
+	ID       string    // content identity; what it digests depends on the record format
 	PrevID   string    // version ID of the parent node; "" for new files
 	ClientID string    // client that created this version
 	Name     string    // user-visible file name
@@ -87,12 +89,18 @@ type ShareLoc struct {
 
 // FileMeta is one version node: the three tables of Figure 6.
 type FileMeta struct {
+	// Format is the record format version, FormatV1 or FormatV2. It fixes
+	// what File.ID digests: the file content (v1) or the ChunkMap's chunk
+	// list (v2, see ChunkListID). Decode sets it from the record, so v1
+	// records re-encode as v1; Validate rejects any other value.
+	Format int
+
 	File   FileMap
 	Chunks []ChunkRef
 	Shares []ShareLoc
 }
 
-// VersionID uniquely identifies the version node. The content hash alone
+// VersionID uniquely identifies the version node. The file ID alone
 // is not unique (a revert re-creates old content), so the version identity
 // covers content, parent, name, and creator.
 func (m *FileMeta) VersionID() string {
@@ -107,6 +115,9 @@ func (m *FileMeta) ObjectName() string { return MetaPrefix + m.VersionID() }
 // Validate checks structural invariants before a record is accepted into a
 // tree or serialized.
 func (m *FileMeta) Validate() error {
+	if m.Format != FormatV1 && m.Format != FormatV2 {
+		return fmt.Errorf("metadata: %q: unknown record format %d", m.File.Name, m.Format)
+	}
 	if m.File.ID == "" {
 		return fmt.Errorf("metadata: %q: empty file ID", m.File.Name)
 	}
@@ -158,7 +169,29 @@ func (m *FileMeta) SharesOf(chunkID string) []ShareLoc {
 	return out
 }
 
-// HashData returns the SHA-1 hex digest used for file and chunk IDs.
+// ChunkListID returns the FormatV2 file ID of a chunk sequence: the
+// HashData digest of the ordered (chunk ID, chunk size) list. Each chunk ID
+// already digests that chunk's bytes, so the result commits to the whole
+// content without a second pass over it. (t, n), class, CAS and offsets
+// are left out: re-encoding a version under another class keeps its file
+// ID, and offsets follow from the sizes.
+func ChunkListID(chunks []ChunkRef) string {
+	h := NewHash()
+	var buf [10]byte
+	for _, c := range chunks {
+		// A u16 length prefix keeps the encoding unambiguous even for IDs
+		// that are not fixed-width hex (a hostile record's, say).
+		binary.BigEndian.PutUint16(buf[:2], uint16(len(c.ID)))
+		binary.BigEndian.PutUint64(buf[2:], uint64(c.Size))
+		h.Write(buf[:2])
+		io.WriteString(h, c.ID)
+		h.Write(buf[2:])
+	}
+	return HashSum(h)
+}
+
+// HashData returns the SHA-1 hex digest used for chunk IDs (and for the
+// file IDs of FormatV1 records).
 func HashData(data []byte) string {
 	sum := sha1.Sum(data)
 	return hex.EncodeToString(sum[:])

@@ -12,6 +12,7 @@ import (
 // each chunk shared (t, n) across synthetic CSP names.
 func buildMeta(name, content, prevID, clientID string, deleted bool, mod time.Time, t, n int, sizes ...int64) *FileMeta {
 	m := &FileMeta{
+		Format: FormatV1,
 		File: FileMap{
 			ID:       HashData([]byte(content)),
 			PrevID:   prevID,
@@ -256,7 +257,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeDeletedRecordWithNoChunks(t *testing.T) {
 	t.Parallel()
 	// Deletion markers carry no chunk data.
-	m := &FileMeta{File: FileMap{
+	m := &FileMeta{Format: FormatV1, File: FileMap{
 		ID: HashData([]byte("v")), ClientID: "c", Name: "f",
 		Deleted: true, Modified: t0, Size: 123, PrevID: "parent",
 	}}
