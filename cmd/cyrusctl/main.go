@@ -240,7 +240,7 @@ func cmdStats(ctx context.Context, c *cyrus.Client, args []string) error {
 	if _, err := c.Sync(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "stats: sync:", err)
 	}
-	rows := o.Health().Snapshot()
+	rows := c.Estimator().Snapshot()
 	snap := o.Registry().Snapshot()
 	hits, _ := snap.Find(cyrus.MetricMetaCacheHits, nil)
 	misses, _ := snap.Find(cyrus.MetricMetaCacheMisses, nil)
@@ -392,7 +392,7 @@ func printTop(c *cyrus.Client, o *cyrus.Observer) {
 	fmt.Printf("%-12s %8s %6s %10s %12s %8s %-6s %-5s\n",
 		"CSP", "INFLIGHT", "QUEUE", "EWMA(ms)", "PREDICT(ms)", "SAMPLES", "STATE", "HEDGE")
 	health := map[string]cyrus.CSPHealth{}
-	for _, h := range o.Health().Snapshot() {
+	for _, h := range c.Estimator().Snapshot() {
 		health[h.CSP] = h
 	}
 	for _, l := range o.LoadStats() {
@@ -433,10 +433,10 @@ type topJSON struct {
 
 func printTopJSON(c *cyrus.Client, o *cyrus.Observer) error {
 	health := map[string]cyrus.CSPHealth{}
-	for _, h := range o.Health().Snapshot() {
+	for _, h := range c.Estimator().Snapshot() {
 		health[h.CSP] = h
 	}
-	doc := topJSON{Time: time.Now(), QueueDepth: o.QueueDepthNow()}
+	doc := topJSON{Time: time.Now(), QueueDepth: c.Engine().QueueDepth()}
 	for _, l := range o.LoadStats() {
 		doc.CSPs = append(doc.CSPs, topCSPJSON{
 			CSPLoad:    l,

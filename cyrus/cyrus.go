@@ -60,7 +60,8 @@ func NewSyncer(client *Client, dir string) (*Syncer, error) {
 
 // Re-exported core types. Config documents every knob (privacy level T,
 // reliability bound Epsilon or explicit N, chunking, platform clusters,
-// download selector, runtime).
+// download selector, runtime, transfer engine); observability knobs live
+// on ObserverOptions.
 type (
 	// Config tunes a Client; see core.Config for field documentation.
 	Config = core.Config
@@ -76,10 +77,12 @@ type (
 	GCStats = core.GCStats
 
 	// Observer is the observability bundle (metrics registry, span tracer,
-	// CSP health scoreboard). Attach one via Config.Obs; a nil Observer
-	// disables all instrumentation.
+	// flight recorder, and a health view of the attached client's
+	// provider record). Attach one via Config.Obs; a nil Observer disables
+	// all instrumentation, and with it hedging.
 	Observer = obs.Observer
-	// CSPHealth is one provider's scoreboard row.
+	// CSPHealth is one provider's row in the client's provider record
+	// (Client.Estimator().Snapshot(), Observer.Health(), /healthz).
 	CSPHealth = obs.CSPHealth
 	// MetricsSnapshot is a point-in-time copy of an Observer's registry.
 	MetricsSnapshot = obs.Snapshot

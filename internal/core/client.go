@@ -167,13 +167,6 @@ type Config struct {
 	// take the engine's documented defaults.
 	Transfer transfer.Tunables
 
-	// HedgeLoadThreshold is the Ghosh-crossover utilization bound past
-	// which hedges and redundant race lanes are suppressed (see
-	// transfer.Tunables.HedgeLoadThreshold). 0 keeps the engine default
-	// (0.75); negative disables suppression. Shorthand for setting
-	// Transfer.HedgeLoadThreshold.
-	HedgeLoadThreshold float64
-
 	// RaceReads switches chunk gathers from per-source hedging to
 	// k-out-of-n race reads: every picked source starts at once plus up
 	// to RaceReads redundant fallback lanes (launched only while load
@@ -181,18 +174,14 @@ type Config struct {
 	// T shares lands. 0 keeps hedged gathers.
 	RaceReads int
 
-	// LoadAwareSelect wraps the configured Selector in
-	// selector.LoadAware: download sources are ranked by predicted
-	// completion time under the live load vector (queue-adjusted), with
-	// the wrapped selector as the zero-load fallback.
-	LoadAwareSelect bool
-
-	// Obs, when set, receives metrics, spans, and per-CSP health from
-	// every operation: op latency histograms, provider request counters,
-	// the event→metric bridge, and the scoreboard. The observer's clock is
-	// re-pointed at this client's Runtime, so virtual-time runs record
-	// virtual durations. One observer may be shared by several clients.
-	// nil disables instrumentation entirely.
+	// Obs, when set, receives metrics and spans from every operation: op
+	// latency histograms, provider request counters, and the event→metric
+	// bridge. Its clock is re-pointed at this client's Runtime, so
+	// virtual-time runs record virtual durations, and its health view
+	// (/healthz, `cyrusctl stats`) serves this client's provider record.
+	// One observer may be shared by several clients; the last one built
+	// owns the clock and the health view. nil disables instrumentation,
+	// and download hedging with it.
 	Obs *obs.Observer
 
 	// CodecWorkers bounds concurrent CPU-heavy codec jobs (chunk hashing,
@@ -208,19 +197,6 @@ type Config struct {
 	// concurrently, so client memory is O(PipelineDepth × MaxSize × n/t)
 	// instead of O(file). Default 4.
 	PipelineDepth int
-
-	// SLOObjectives merges per-op latency objectives into the observer's
-	// SLO tracker (positive sets, negative removes, zero entries are
-	// skipped; obs.DefaultSLOObjectives apply underneath). Only meaningful
-	// when Obs is set.
-	SLOObjectives map[string]time.Duration
-
-	// FlightTriggerMultiple overrides the flight recorder's latency-anomaly
-	// threshold: an operation whose latency exceeds this multiple of its
-	// own EWMA dumps the recorder. 0 keeps the observer's configured value
-	// (default 8); negative disables the latency trigger. Only meaningful
-	// when Obs is set.
-	FlightTriggerMultiple float64
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -266,14 +242,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Selector == nil {
 		c.Selector = selector.Optimized{}
 	}
-	if c.LoadAwareSelect {
-		c.Selector = selector.LoadAware{Fallback: c.Selector}
-	}
 	if c.RaceReads < 0 {
 		return c, fmt.Errorf("cyrus: RaceReads=%d", c.RaceReads)
-	}
-	if c.HedgeLoadThreshold != 0 {
-		c.Transfer.HedgeLoadThreshold = c.HedgeLoadThreshold
 	}
 	if c.Runtime == nil {
 		c.Runtime = vclock.Real()
@@ -311,8 +281,7 @@ type Client struct {
 	ring     *hashring.Ring
 	tree     *metadata.Tree
 	table    *metadata.ChunkTable
-	est      *reliability.Estimator
-	bw       *bandwidthTracker
+	est      *reliability.Estimator // the per-provider record
 	events   *eventBus
 	engine   *transfer.Engine
 	rt       vclock.Runtime
@@ -385,8 +354,7 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 		ring:     hashring.New(0),
 		tree:     metadata.NewTree(),
 		table:    metadata.NewChunkTable(),
-		est:      reliability.NewEstimator(full.FailureThreshold),
-		bw:       newBandwidthTracker(full.LinkBps),
+		est:      reliability.NewEstimator(full.FailureThreshold, full.LinkBps),
 		events:   newEventBus(),
 		rt:       full.Runtime,
 		sel:      full.Selector,
@@ -414,21 +382,20 @@ func New(cfg Config, stores []csp.Store) (*Client, error) {
 	// slots, taxonomy-driven retries on the client's clock, per-operation
 	// failed sets, and hedged gathers (internal/transfer).
 	c.engine = transfer.New(transfer.Config{
-		Runtime:  c.rt,
-		Obs:      c.obs,
-		Report:   c.recordResult,
-		Tunables: full.Transfer,
+		Runtime:   c.rt,
+		Obs:       c.obs,
+		Report:    c.recordResult,
+		Providers: c.est,
+		Tunables:  full.Transfer,
 	})
 	if c.obs != nil {
-		// Durations must follow this client's notion of time, and the
-		// bridge turns transfer events into metrics without any subscriber
-		// re-deriving timing.
+		// Durations must follow this client's notion of time, the health
+		// view serves this client's provider record, and the bridge turns
+		// transfer events into metrics without any subscriber re-deriving
+		// timing.
 		c.obs.SetClock(c.rt.Now)
+		c.obs.AttachProviders(c.est)
 		c.events.subscribe(c.observeEvent)
-		// Deep-diagnosis knobs. Both are idempotent merges, so sharing one
-		// observer across clients (the chaos harness) stays coherent.
-		c.obs.SetSLOObjectives(full.SLOObjectives)
-		c.obs.Recorder().SetTriggerMultiple(full.FlightTriggerMultiple)
 	}
 	for _, s := range stores {
 		if err := c.AddCSP(s); err != nil {
@@ -669,14 +636,12 @@ func (c *Client) Tree() *metadata.Tree { return c.tree }
 // ChunkTable exposes the local global-chunk-table replica.
 func (c *Client) ChunkTable() *metadata.ChunkTable { return c.table }
 
-// Estimator exposes the CSP failure estimator.
+// Estimator exposes the client's per-provider record: contact history,
+// failure estimate, latency and bandwidth EWMAs, hedge multiples.
 func (c *Client) Estimator() *reliability.Estimator { return c.est }
 
-// Bandwidth exposes the link estimate used for a CSP (for tests).
-func (c *Client) Bandwidth(name string) float64 { return c.bw.estimate(name) }
-
 // Observer exposes the configured observability hook (nil when disabled);
-// tools like `cyrusctl stats` read the scoreboard and registry through it.
+// tools like `cyrusctl stats` read the health view and registry through it.
 func (c *Client) Observer() *obs.Observer { return c.obs }
 
 // Engine exposes the transfer engine (for tests asserting on its caps).
@@ -728,22 +693,23 @@ func (c *Client) ResetBufferPeak() {
 func (c *Client) PipelineDepth() int { return c.cfg.PipelineDepth }
 
 // hedgeAfter predicts how long a share download from the given provider
-// should take — the scoreboard's request-latency EWMA plus the payload
-// over the estimated downlink — and converts it into the engine's
+// should take — the provider record's request-latency EWMA plus the
+// payload over the estimated downlink — and converts it into the engine's
 // load-adaptive hedge trigger delay (which may withhold the hedge
 // entirely: cold provider, or load past the Ghosh crossover). Without an
-// Observer there is no latency EWMA, so hedging is off (0) and gathers
-// fall back to plain sequential failover; the obs-less latency
-// experiments are bit-identical to the pre-engine code path.
+// Observer hedging stays off (0), although the record holds a latency
+// EWMA either way: gathers fall back to plain sequential failover, so the
+// obs-less latency experiments and untraced benchmarks keep the unhedged
+// code path.
 func (c *Client) hedgeAfter(ctx context.Context, cspName string, bytes int64) time.Duration {
 	if c.obs == nil {
 		return 0
 	}
-	expected := c.obs.Health().Latency(cspName)
+	expected := c.est.Latency(cspName)
 	if expected <= 0 {
 		return 0
 	}
-	if bw := c.bw.estimate(cspName); bw > 0 && bytes > 0 {
+	if bw := c.est.Downlink(cspName); bw > 0 && bytes > 0 {
 		expected += time.Duration(float64(bytes) / bw * float64(time.Second))
 	}
 	return c.engine.HedgeAfter(ctx, cspName, expected)
@@ -756,40 +722,32 @@ func (c *Client) Subscribe(fn func(Event)) { c.events.subscribe(fn) }
 
 // recordResult is the single sink for provider-contact outcomes: every
 // upload, download, list, and delete lands here with its payload size and
-// elapsed time (on the runtime clock). Successes feed the failure
-// estimator, the bandwidth estimator (downloads the downlink estimate the
-// selector consumes, uploads the uplink estimate), and the observability
-// scoreboard; failures feed the estimator's outage tracking and the same
-// scoreboard — so selector inputs and the health view agree on one data
-// path. op is one of the op* constants in observe.go.
+// elapsed time (on the runtime clock), and is folded into the provider
+// record under one lock. Downloads feed the downlink estimate the selector
+// consumes and uploads the uplink estimate; only unreachable-provider
+// errors feed outage detection. The metrics and the down-state gauge
+// follow from the same update, so the selector's inputs, the hedger's and
+// the health view agree on one data path. op is one of the op* constants
+// in observe.go.
 func (c *Client) recordResult(name, op string, err error, bytes int64, elapsed time.Duration) {
-	now := c.rt.Now()
-	if err == nil {
-		// The estimator reports down-state transitions atomically from
-		// under its own lock; deriving them from a separate Down() read
-		// would race with concurrent share transfers and could leave the
-		// gauge stuck out of sync with the estimator.
-		if _, recovered := c.est.RecordSuccess(name, now); recovered {
-			c.obs.CSPDownState(name, false)
-		}
-		switch op {
-		case opDownload:
-			c.bw.observe(name, bytes, elapsed)
-		case opUpload:
-			c.bw.observeUp(name, bytes, elapsed)
-		}
-		c.obs.CSPRequest(name, nil, elapsed)
-		if c.obs != nil {
-			c.obs.CSPBandwidth(name, c.bw.estimate(name), c.bw.estimateUp(name))
-		}
-		return
+	contact := reliability.Contact{At: c.rt.Now(), Elapsed: elapsed, Bytes: bytes, Err: err}
+	switch op {
+	case opDownload:
+		contact.Link = reliability.Downlink
+	case opUpload:
+		contact.Link = reliability.Uplink
 	}
+	contact.Outage = errors.Is(err, csp.ErrUnavailable)
+	h, changed := c.est.Record(name, contact)
 	c.obs.CSPRequest(name, err, elapsed)
-	if errors.Is(err, csp.ErrUnavailable) {
-		if down, changed := c.est.RecordFailure(name, now); down && changed {
+	if err == nil {
+		c.obs.CSPBandwidth(name, h.DownlinkBps, h.UplinkBps)
+	}
+	if changed {
+		if h.Down {
 			c.logf("provider marked failed", "csp", name)
-			c.obs.CSPDownState(name, true)
 		}
+		c.obs.CSPDownState(name, h.Down)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/csp"
 	"repro/internal/netsim"
+	"repro/internal/reliability"
 )
 
 func TestUploadFallsBackOnFailedCSP(t *testing.T) {
@@ -351,7 +352,7 @@ func TestEstimatorMarksRepeatedFailures(t *testing.T) {
 	}
 	// Recovery: the paper periodically re-checks; a later success clears.
 	env.backends["cspa"].SetAvailable(true)
-	c.Estimator().RecordSuccess("cspa", time.Now())
+	c.Estimator().Record("cspa", reliability.Contact{At: time.Now()})
 	if c.Estimator().Down("cspa") {
 		t.Fatal("estimator did not clear after success")
 	}

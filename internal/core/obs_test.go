@@ -78,9 +78,9 @@ func TestObserverBridge(t *testing.T) {
 		}
 	}
 
-	// The CSP request path fed the scoreboard: every contacted provider has
-	// successes and no provider is down.
-	rows := o.Health().Snapshot()
+	// The CSP request path fed the provider record the observer serves:
+	// every contacted provider has successes and no provider is down.
+	rows := o.Health()
 	if len(rows) == 0 {
 		t.Fatal("scoreboard is empty after Put/Get")
 	}

@@ -5,19 +5,20 @@ package core
 //   - operations (Put/Get/GetRange/Sync/Delete/GC/migrate) open a span via
 //     Observer.StartOp, which on End feeds cyrus_op_duration_seconds{op}
 //     and cyrus_ops_total{op,result};
-//   - provider contacts flow through recordResult (client.go) into
-//     cyrus_csp_requests_total{csp,result}, the success-latency histogram,
-//     the bandwidth gauges, and the health scoreboard;
+//   - provider contacts flow through recordResult (client.go) into the
+//     provider record (which the observer's health view serves), and from
+//     there into cyrus_csp_requests_total{csp,result}, the success-latency
+//     histogram, and the bandwidth and down-state gauges;
 //   - transfer events are bridged from the event bus by observeEvent into
 //     cyrus_events_total{type} and cyrus_transfer_bytes_total{csp,dir}.
 //
 // All of it is inert when Config.Obs is nil.
 
 // Provider-contact operation identifiers for recordResult. Chunk-share
-// transfers ("upload"/"download") feed the bandwidth estimators; metadata
+// transfers ("upload"/"download") feed the bandwidth estimates; metadata
 // and control-plane contacts ("meta_put"/"meta_get"/"list"/"delete") are
-// latency-dominated small objects and feed only the estimator, counters,
-// and scoreboard.
+// latency-dominated small objects and feed only the contact history,
+// latency EWMA, and counters.
 const (
 	opUpload   = "upload"
 	opDownload = "download"

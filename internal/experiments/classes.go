@@ -181,7 +181,7 @@ func Classes(cfg ClassesConfig) (ClassesResult, error) {
 				runErr = err
 				return
 			}
-			// Warm pass teaches the bandwidth tracker; timed passes measure.
+			// Warm pass teaches the bandwidth estimates; timed passes measure.
 			for _, f := range files {
 				if _, _, err := dl.Get(bg, f.name); err != nil {
 					runErr = fmt.Errorf("warm get %s: %w", f.name, err)

@@ -93,7 +93,7 @@ var loadSchedPolicies = []struct {
 // crawl, moving to the next fast cloud every quarter second (the paper's
 // own Figure 17 measures exactly this kind of time-varying per-CSP
 // performance). Because the victim rotates, the client's estimators
-// (bandwidth tracker, latency EWMA) are perpetually one phase stale for
+// (bandwidth and latency EWMAs) are perpetually one phase stale for
 // whichever provider just collapsed — the persistent tail-latency source
 // deadline hedging exists for, and one a fair-share simulator cannot
 // produce from load alone (under steady load every estimate self-corrects
@@ -207,7 +207,7 @@ func LoadSched(cfg LoadSchedConfig) (LoadSchedResult, error) {
 				runErr = err
 				return
 			}
-			// Warm pass: teaches the bandwidth tracker and arms the
+			// Warm pass: teaches the bandwidth estimates and arms the
 			// hedge controller (HedgeMinSamples) on every provider.
 			for _, f := range files {
 				if _, _, err := dl.Get(bg, f.Name); err != nil {

@@ -97,7 +97,7 @@ func TransferEngine(cfg TransferEngineConfig) (TransferEngineResult, error) {
 				runErr = err
 				return
 			}
-			// Warm pass: healthy links. Teaches the bandwidth tracker and
+			// Warm pass: healthy links. Teaches the bandwidth estimates and
 			// the latency EWMA that fast1 is fast — which is what makes it
 			// a straggler rather than an avoided provider below.
 			start = env.net.VirtualNow()

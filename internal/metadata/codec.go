@@ -67,6 +67,14 @@ const classFlag = 0x4000
 // allocating unbounded memory.
 const maxCount = 1 << 22
 
+// Smallest encodings of the repeated elements: a ChunkRef is an ID string
+// (2-byte length), offset and size (8 bytes each), and t and n (2 each); a
+// ShareLoc is a chunk ID string, an index (2), and a CSP string.
+const (
+	minChunkRefSize = 2 + 8 + 8 + 2 + 2
+	minShareLocSize = 2 + 2 + 2
+)
+
 // Encode serializes the record.
 func Encode(m *FileMeta) ([]byte, error) {
 	if err := m.Validate(); err != nil {
@@ -169,7 +177,7 @@ func Decode(data []byte) (*FileMeta, error) {
 	if nc > maxCount {
 		return nil, fmt.Errorf("%w: chunk count %d", ErrBadRecord, nc)
 	}
-	m.Chunks = make([]ChunkRef, 0, nc)
+	m.Chunks = make([]ChunkRef, 0, r.capacity(nc, minChunkRefSize))
 	for i := uint32(0); i < nc && r.err == nil; i++ {
 		var c ChunkRef
 		c.ID = r.str()
@@ -188,7 +196,7 @@ func Decode(data []byte) (*FileMeta, error) {
 	if ns > maxCount {
 		return nil, fmt.Errorf("%w: share count %d", ErrBadRecord, ns)
 	}
-	m.Shares = make([]ShareLoc, 0, ns)
+	m.Shares = make([]ShareLoc, 0, r.capacity(ns, minShareLocSize))
 	for i := uint32(0); i < ns && r.err == nil; i++ {
 		var s ShareLoc
 		s.ChunkID = r.str()
@@ -252,6 +260,17 @@ func (r *reader) take(n int) []byte {
 	out := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return out
+}
+
+// capacity bounds the preallocation for count elements, each at least
+// minSize encoded bytes, by what the unread input can hold: a hostile
+// count then costs at most a constant multiple of the record's size before
+// the read fails on truncation.
+func (r *reader) capacity(count uint32, minSize int) int {
+	if fit := (len(r.data) - r.pos) / minSize; int64(count) > int64(fit) {
+		return fit
+	}
+	return int(count)
 }
 
 func (r *reader) bytes(dst []byte) {

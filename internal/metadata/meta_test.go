@@ -1,8 +1,10 @@
 package metadata
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -250,6 +252,47 @@ func TestDecodeErrors(t *testing.T) {
 	for name, data := range cases {
 		if _, err := Decode(data); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
+		}
+	}
+}
+
+// TestDecodeBoundsAllocationByInput: a hostile chunk or share count must
+// not preallocate beyond what the record's own bytes could describe. The
+// 34-byte case is a header plus nc = maxCount and nothing else; trusting
+// nc allocated about 300 MB before failing on truncation.
+func TestDecodeBoundsAllocationByInput(t *testing.T) {
+	header := func() *bytes.Buffer {
+		var b bytes.Buffer
+		b.Write(magic[:])
+		b.WriteByte(FormatV2)
+		for i := 0; i < 4; i++ { // ID, PrevID, ClientID, Name
+			writeString(&b, "")
+		}
+		b.WriteByte(0)    // deleted
+		writeInt64(&b, 0) // modified
+		writeInt64(&b, 0) // size
+		return &b
+	}
+	chunks := header()
+	writeUint32(chunks, maxCount)
+	shares := header()
+	writeUint32(shares, 0)
+	writeUint32(shares, maxCount)
+	if n := chunks.Len(); n != 34 {
+		t.Fatalf("chunk-count record is %d bytes, want 34", n)
+	}
+
+	for name, data := range map[string][]byte{"chunks": chunks.Bytes(), "shares": shares.Bytes()} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte record allocated %d bytes, want < 1 MiB", name, len(data), alloc)
 		}
 	}
 }

@@ -1,153 +1,35 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "repro/internal/reliability"
 
-// latencyEWMAWeight is the weight of a new latency observation, matching
-// the bandwidth tracker's smoothing in internal/core.
-const latencyEWMAWeight = 0.3
+// CSPHealth is one provider's health summary: the client's provider
+// record as the health view shows it. It is the JSON shape served by
+// /healthz and printed by `cyrusctl stats`.
+type CSPHealth = reliability.Health
 
-// CSPHealth is one provider's health summary. It is the JSON shape served
-// by /healthz and printed by `cyrusctl stats`.
-type CSPHealth struct {
-	CSP                string    `json:"csp"`
-	Successes          int64     `json:"successes"`
-	Failures           int64     `json:"failures"`
-	LatencyEWMASeconds float64   `json:"latency_ewma_seconds"`
-	DownlinkBps        float64   `json:"downlink_bps,omitempty"`
-	UplinkBps          float64   `json:"uplink_bps,omitempty"`
-	Down               bool      `json:"down"`
-	LastError          string    `json:"last_error,omitempty"`
-	LastContact        time.Time `json:"last_contact"`
-}
-
-// Scoreboard aggregates per-CSP request outcomes into health summaries:
-// success/failure counts, a latency EWMA, bandwidth estimates, and the
-// marked-down state the failure estimator maintains. It is fed by
-// internal/core's recordResult path (one entry per provider contact) and
-// is safe for concurrent use.
-type Scoreboard struct {
-	mu   sync.Mutex
-	csps map[string]*CSPHealth
-}
-
-// NewScoreboard returns an empty scoreboard.
-func NewScoreboard() *Scoreboard {
-	return &Scoreboard{csps: make(map[string]*CSPHealth)}
-}
-
-func (s *Scoreboard) state(cspName string) *CSPHealth {
-	h, ok := s.csps[cspName]
-	if !ok {
-		h = &CSPHealth{CSP: cspName}
-		s.csps[cspName] = h
+// AttachProviders points the health view (Health, /healthz) at a client's
+// provider model. core.New attaches its client's model; when several
+// clients share one Observer, the last one attached is served. Nil-safe.
+func (o *Observer) AttachProviders(p *reliability.Estimator) {
+	if o == nil {
+		return
 	}
-	return h
+	o.mu.Lock()
+	o.providers = p
+	o.mu.Unlock()
 }
 
-// RecordSuccess notes one successful provider contact and folds its
-// latency into the EWMA (zero latencies — instant simulated stores — are
-// counted but do not disturb the estimate).
-func (s *Scoreboard) RecordSuccess(cspName string, at time.Time, latency time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.state(cspName)
-	h.Successes++
-	h.LastContact = at
-	h.LastError = ""
-	if latency > 0 {
-		sec := latency.Seconds()
-		if h.LatencyEWMASeconds == 0 {
-			h.LatencyEWMASeconds = sec
-		} else {
-			h.LatencyEWMASeconds = (1-latencyEWMAWeight)*h.LatencyEWMASeconds + latencyEWMAWeight*sec
-		}
+// Health returns the attached client's per-provider rows, sorted by name
+// (nil for a nil Observer or before a client is attached).
+func (o *Observer) Health() []CSPHealth {
+	if o == nil {
+		return nil
 	}
-}
-
-// RecordFailure notes one failed provider contact.
-func (s *Scoreboard) RecordFailure(cspName string, at time.Time, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.state(cspName)
-	h.Failures++
-	h.LastContact = at
-	if err != nil {
-		h.LastError = err.Error()
+	o.mu.RLock()
+	p := o.providers
+	o.mu.RUnlock()
+	if p == nil {
+		return nil
 	}
-}
-
-// Latency returns a provider's current request-latency EWMA, or 0 when
-// no latency has been observed. The transfer engine's hedged downloads
-// use it to predict when a source has taken abnormally long.
-func (s *Scoreboard) Latency(cspName string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.csps[cspName]
-	if !ok {
-		return 0
-	}
-	return time.Duration(h.LatencyEWMASeconds * float64(time.Second))
-}
-
-// Samples returns how many successful contacts have fed a provider's
-// latency EWMA — the hedge controller's cold-start arming signal (an EWMA
-// built from a handful of samples is too noisy to schedule redundancy
-// against).
-func (s *Scoreboard) Samples(cspName string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.csps[cspName]
-	if !ok {
-		return 0
-	}
-	return h.Successes
-}
-
-// SetDown records the failure estimator's marked-down transition.
-func (s *Scoreboard) SetDown(cspName string, down bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state(cspName).Down = down
-}
-
-// SetBandwidth records the client's current link estimates (bytes/second;
-// zero means unknown and leaves the previous value in place).
-func (s *Scoreboard) SetBandwidth(cspName string, downBps, upBps float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.state(cspName)
-	if downBps > 0 {
-		h.DownlinkBps = downBps
-	}
-	if upBps > 0 {
-		h.UplinkBps = upBps
-	}
-}
-
-// Snapshot returns a copy of every provider's health, sorted by name.
-func (s *Scoreboard) Snapshot() []CSPHealth {
-	s.mu.Lock()
-	out := make([]CSPHealth, 0, len(s.csps))
-	for _, h := range s.csps {
-		out = append(out, *h)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].CSP < out[j].CSP })
-	return out
-}
-
-// AnyDown reports whether any provider is currently marked down.
-func (s *Scoreboard) AnyDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, h := range s.csps {
-		if h.Down {
-			return true
-		}
-	}
-	return false
+	return p.Snapshot()
 }

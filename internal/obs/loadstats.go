@@ -4,17 +4,19 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/reliability"
 )
 
-// Load telemetry: per-CSP sampled time-series windows of the signals the
-// load-aware redundancy scheduler (ROADMAP item 5) needs as inputs — queue
-// depth, in-flight attempts, the scoreboard's request-latency EWMA, and a
-// predicted completion time for a newly enqueued request. Following Ghosh's
-// observation that redundancy tuning is only sound when the load vector is
-// actually measured, the tracker samples on the transfer engine's own
+// Load telemetry: per-CSP sampled time-series windows of the load vector
+// — queue depth, in-flight attempts, the request-latency EWMA, and a
+// predicted completion time for a newly enqueued request. Following
+// Ghosh's observation that redundancy tuning is only sound when the load
+// vector is actually measured, the transfer engine samples on its own
 // events (no background goroutine — it stays correct under netsim virtual
-// time) and publishes both live gauges and a bounded per-CSP window through
-// the snapshot API.
+// time), and the observer publishes both live gauges and a bounded per-CSP
+// window through the snapshot API. The window is telemetry only: the
+// engine's hedge decisions read its own counters, never this window.
 
 // LoadSample is one sampled point of a provider's load vector.
 type LoadSample struct {
@@ -56,20 +58,18 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// cspLoadState is one provider's live counters plus its sample ring.
+// cspLoadState is one provider's sample ring.
 type cspLoadState struct {
-	inFlight int
-	ring     []LoadSample
-	pos      int
-	full     bool
-	lastAt   time.Time
-	sampled  bool
+	ring    []LoadSample
+	pos     int
+	full    bool
+	lastAt  time.Time
+	sampled bool
 }
 
-// loadTracker aggregates the load vector. It is fed from the observer's
-// transfer instrumentation (in-flight and queue-depth gauge updates, and
-// successful provider contacts) and reads the scoreboard for the latency
-// EWMA, never the other way around.
+// loadTracker keeps the load windows. The transfer engine feeds it
+// (SampleLoad) from its own counters; the tracker only retains and
+// publishes samples.
 type loadTracker struct {
 	o   *Observer
 	cfg LoadConfig
@@ -78,9 +78,8 @@ type loadTracker struct {
 	predictedGauge *GaugeVec   // cyrus_load_predicted_completion_seconds{csp}
 	samplesTotal   *CounterVec // cyrus_load_samples_total{csp}
 
-	mu    sync.Mutex
-	csps  map[string]*cspLoadState
-	queue int // global queue depth (the engine's admission queue is global)
+	mu   sync.Mutex
+	csps map[string]*cspLoadState
 }
 
 func newLoadTracker(o *Observer, cfg LoadConfig) *loadTracker {
@@ -94,72 +93,31 @@ func newLoadTracker(o *Observer, cfg LoadConfig) *loadTracker {
 	}
 }
 
-func (t *loadTracker) state(cspName string) *cspLoadState {
+// sample retains one sample for cspName if the spacing gate allows. A
+// sample that reports the provider idle while the newest retained one
+// shows it loaded bypasses the gate: otherwise the window's newest sample
+// could report the provider as loaded forever. The latency EWMA is read
+// from p only for a retained sample.
+func (t *loadTracker) sample(cspName string, inFlight, queue int, p *reliability.Estimator) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	st, ok := t.csps[cspName]
 	if !ok {
-		st = &cspLoadState{}
+		st = &cspLoadState{ring: make([]LoadSample, t.cfg.Window)}
 		t.csps[cspName] = st
 	}
-	return st
-}
-
-// inFlight folds an in-flight gauge update into the tracker and samples.
-// The transition back to idle bypasses the spacing gate: if the final
-// decrement were dropped, the window's newest sample would report the
-// provider as loaded forever.
-func (t *loadTracker) inFlight(cspName string, n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	st := t.state(cspName)
-	idled := n == 0 && st.inFlight != 0
-	st.inFlight = n
-	t.sampleLocked(cspName, idled)
-	t.mu.Unlock()
-}
-
-// queueDepth folds the engine's global admission-queue depth in.
-func (t *loadTracker) queueDepth(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.queue = n
-	t.mu.Unlock()
-}
-
-// contact samples on a completed provider contact — the moment the
-// scoreboard EWMA just moved.
-func (t *loadTracker) contact(cspName string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sampleLocked(cspName, false)
-	t.mu.Unlock()
-}
-
-// sampleLocked takes one sample for cspName if the spacing gate allows
-// (or unconditionally when forced). Caller holds t.mu. The scoreboard has
-// its own lock and never calls into the tracker, so reading it under t.mu
-// cannot deadlock.
-func (t *loadTracker) sampleLocked(cspName string, force bool) {
-	st := t.state(cspName)
 	now := t.o.now()
-	if !force && st.sampled && t.cfg.SampleInterval > 0 && now.Sub(st.lastAt) < t.cfg.SampleInterval {
+	idled := inFlight == 0 && st.sampled && st.ring[(st.pos+len(st.ring)-1)%len(st.ring)].InFlight != 0
+	if !idled && st.sampled && t.cfg.SampleInterval > 0 && now.Sub(st.lastAt) < t.cfg.SampleInterval {
 		return
 	}
-	ewma := t.o.health.Latency(cspName).Seconds()
+	ewma := p.Latency(cspName).Seconds()
 	s := LoadSample{
 		At:                 now,
-		InFlight:           st.inFlight,
-		QueueDepth:         t.queue,
+		InFlight:           inFlight,
+		QueueDepth:         queue,
 		EWMALatencySeconds: ewma,
-		PredictedSeconds:   ewma * float64(1+st.inFlight),
-	}
-	if st.ring == nil {
-		st.ring = make([]LoadSample, t.cfg.Window)
+		PredictedSeconds:   ewma * float64(1+inFlight),
 	}
 	st.ring[st.pos] = s
 	st.pos = (st.pos + 1) % len(st.ring)
@@ -180,58 +138,21 @@ func (t *loadTracker) snapshot() []CSPLoad {
 	t.mu.Lock()
 	out := make([]CSPLoad, 0, len(t.csps))
 	for name, st := range t.csps {
-		var window []LoadSample
-		if st.ring != nil {
-			if st.full {
-				window = make([]LoadSample, 0, len(st.ring))
-				window = append(window, st.ring[st.pos:]...)
-				window = append(window, st.ring[:st.pos]...)
-			} else {
-				window = append([]LoadSample(nil), st.ring[:st.pos]...)
-			}
+		// Oldest first; every ring holds at least the sample that made it.
+		window := make([]LoadSample, 0, len(st.ring))
+		if st.full {
+			window = append(window, st.ring[st.pos:]...)
 		}
-		cl := CSPLoad{CSP: name, Window: window}
-		if n := len(window); n > 0 {
-			cl.Current = window[n-1]
-		}
-		out = append(out, cl)
+		window = append(window, st.ring[:st.pos]...)
+		out = append(out, CSPLoad{CSP: name, Current: window[len(window)-1], Window: window})
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].CSP < out[j].CSP })
 	return out
 }
 
-// current computes a live load sample for one provider from the tracker's
-// instantaneous counters and the scoreboard EWMA — not the last retained
-// window entry, which can lag by up to SampleInterval. The sample is not
-// appended to the window. Returns ok=false for a provider the tracker has
-// never seen.
-func (t *loadTracker) current(cspName string) (LoadSample, bool) {
-	if t == nil {
-		return LoadSample{}, false
-	}
-	t.mu.Lock()
-	st, ok := t.csps[cspName]
-	var inFlight, queue int
-	if ok {
-		inFlight, queue = st.inFlight, t.queue
-	}
-	t.mu.Unlock()
-	if !ok {
-		return LoadSample{}, false
-	}
-	ewma := t.o.health.Latency(cspName).Seconds()
-	return LoadSample{
-		At:                 t.o.now(),
-		InFlight:           inFlight,
-		QueueDepth:         queue,
-		EWMALatencySeconds: ewma,
-		PredictedSeconds:   ewma * float64(1+inFlight),
-	}, true
-}
-
 // LoadStats returns the per-CSP load telemetry windows, sorted by provider
-// name — the input vector for the load-aware scheduler. Nil-safe.
+// name. Nil-safe.
 func (o *Observer) LoadStats() []CSPLoad {
 	if o == nil {
 		return nil
@@ -239,24 +160,14 @@ func (o *Observer) LoadStats() []CSPLoad {
 	return o.load.snapshot()
 }
 
-// CurrentLoad returns a live load sample for one provider — the scheduler's
-// plan-time view, fresher than the last retained window entry. ok is false
-// for a provider no transfer has touched yet. Nil-safe.
-func (o *Observer) CurrentLoad(cspName string) (LoadSample, bool) {
+// SampleLoad folds one point of a provider's load vector into its
+// telemetry window and the cyrus_load_* gauges: the engine's in-flight
+// count for the provider, its admission-queue depth, and the request-
+// latency EWMA from the client's provider record p. The transfer engine
+// calls it on every in-flight change and successful contact. Nil-safe.
+func (o *Observer) SampleLoad(cspName string, inFlight, queue int, p *reliability.Estimator) {
 	if o == nil || cspName == "" {
-		return LoadSample{}, false
+		return
 	}
-	return o.load.current(cspName)
-}
-
-// QueueDepthNow returns the engine admission-queue depth as last recorded
-// — the global half of the load vector, for callers that need it without
-// naming a provider. Nil-safe.
-func (o *Observer) QueueDepthNow() int {
-	if o == nil {
-		return 0
-	}
-	o.load.mu.Lock()
-	defer o.load.mu.Unlock()
-	return o.load.queue
+	o.load.sample(cspName, inFlight, queue, p)
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/reliability"
 )
 
 // manualClock is a settable clock for driving the sampling gate.
@@ -24,6 +26,16 @@ func (c *manualClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// noLatency is a provider record with no latency observed.
+var noLatency = reliability.NewEstimator(0, nil)
+
+// latencyOf returns a provider record whose latency EWMA for cspName is d.
+func latencyOf(cspName string, d time.Duration) *reliability.Estimator {
+	p := reliability.NewEstimator(0, nil)
+	p.Record(cspName, reliability.Contact{Elapsed: d})
+	return p
+}
+
 func loadFor(t *testing.T, o *Observer, cspName string) CSPLoad {
 	t.Helper()
 	for _, cl := range o.LoadStats() {
@@ -40,7 +52,7 @@ func loadFor(t *testing.T, o *Observer, cspName string) CSPLoad {
 func TestLoadWindowEviction(t *testing.T) {
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 4, SampleInterval: -1}})
 	for n := 1; n <= 7; n++ {
-		o.TransferInFlight("cspa", n)
+		o.SampleLoad("cspa", n, 0, noLatency)
 	}
 	w := loadFor(t, o, "cspa").Window
 	if len(w) != 4 {
@@ -64,15 +76,15 @@ func TestLoadWindowSampleSpacing(t *testing.T) {
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 8, SampleInterval: 100 * time.Millisecond}})
 	o.SetClock(clk.now)
 
-	o.TransferInFlight("cspa", 1)
-	o.TransferInFlight("cspa", 2) // same instant: gated
+	o.SampleLoad("cspa", 1, 0, noLatency)
+	o.SampleLoad("cspa", 2, 0, noLatency) // same instant: gated
 	clk.advance(50 * time.Millisecond)
-	o.TransferInFlight("cspa", 3) // still inside the interval: gated
+	o.SampleLoad("cspa", 3, 0, noLatency) // still inside the interval: gated
 	if w := loadFor(t, o, "cspa").Window; len(w) != 1 || w[0].InFlight != 1 {
 		t.Fatalf("window = %+v, want the single first sample", w)
 	}
 	clk.advance(60 * time.Millisecond)
-	o.TransferInFlight("cspa", 4) // 110ms after the retained sample
+	o.SampleLoad("cspa", 4, 0, noLatency) // 110ms after the retained sample
 	if w := loadFor(t, o, "cspa").Window; len(w) != 2 || w[1].InFlight != 4 {
 		t.Fatalf("window = %+v, want a second sample once the interval passed", w)
 	}
@@ -86,58 +98,25 @@ func TestLoadIdleBypass(t *testing.T) {
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 8, SampleInterval: time.Hour}})
 	o.SetClock(clk.now)
 
-	o.TransferInFlight("cspa", 3)
-	o.TransferInFlight("cspa", 0) // inside the gate, but an idle transition
+	o.SampleLoad("cspa", 3, 0, noLatency)
+	o.SampleLoad("cspa", 0, 0, noLatency) // inside the gate, but an idle transition
 	w := loadFor(t, o, "cspa").Window
 	if len(w) != 2 || w[1].InFlight != 0 {
 		t.Fatalf("window = %+v, want forced idle sample", w)
 	}
 	// Idle→idle is not a transition; the gate holds.
-	o.TransferInFlight("cspa", 0)
+	o.SampleLoad("cspa", 0, 0, noLatency)
 	if w := loadFor(t, o, "cspa").Window; len(w) != 2 {
 		t.Fatalf("window grew to %d on an idle no-op, want 2", len(w))
 	}
 }
 
-// TestCurrentLoadLive: CurrentLoad reads the instantaneous counters, not
-// the (possibly stale) last window entry, and reports ok=false for a
-// provider no transfer has touched.
-func TestCurrentLoadLive(t *testing.T) {
-	clk := &manualClock{at: time.Unix(1000, 0)}
-	o := NewObserverWith(Options{Load: LoadConfig{Window: 8, SampleInterval: time.Hour}})
-	o.SetClock(clk.now)
-
-	if _, ok := o.CurrentLoad("ghost"); ok {
-		t.Fatal("CurrentLoad(ghost) ok for an unseen provider")
-	}
-	o.CSPRequest("cspa", nil, 2*time.Second) // EWMA = 2s, samples once
-	o.TransferInFlight("cspa", 5)            // gated out of the window...
-	o.TransferQueueDepth(7)
-
-	s, ok := o.CurrentLoad("cspa")
-	if !ok {
-		t.Fatal("CurrentLoad(cspa) not ok after activity")
-	}
-	if s.InFlight != 5 || s.QueueDepth != 7 {
-		t.Fatalf("live sample = %+v, want InFlight 5 QueueDepth 7", s)
-	}
-	if want := 2.0 * 6; s.PredictedSeconds != want {
-		t.Fatalf("PredictedSeconds = %v, want EWMA x (1+inFlight) = %v", s.PredictedSeconds, want)
-	}
-	if got := o.QueueDepthNow(); got != 7 {
-		t.Fatalf("QueueDepthNow = %d, want 7", got)
-	}
-	// ...while the stale window still shows the pre-load sample.
-	if cur := loadFor(t, o, "cspa").Current; cur.InFlight != 0 {
-		t.Fatalf("window Current.InFlight = %d, want stale 0", cur.InFlight)
-	}
-}
-
-// TestLoadConcurrentSampling hammers every tracker entry point from
-// concurrent goroutines; run under -race this is the data-race check for
+// TestLoadConcurrentSampling hammers the tracker's sample and snapshot
+// paths from concurrent goroutines; run under -race this is the data-race check for
 // the load plane.
 func TestLoadConcurrentSampling(t *testing.T) {
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 16, SampleInterval: -1}})
+	p := reliability.NewEstimator(0, nil)
 	csps := []string{"cspa", "cspb", "cspc"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -146,18 +125,13 @@ func TestLoadConcurrentSampling(t *testing.T) {
 			defer wg.Done()
 			name := csps[g%len(csps)]
 			for i := 0; i < 200; i++ {
-				switch i % 5 {
+				switch i % 3 {
 				case 0:
-					o.TransferInFlight(name, i%7)
+					p.Record(name, reliability.Contact{Elapsed: time.Duration(1+i%9) * time.Millisecond})
 				case 1:
-					o.TransferQueueDepth(i % 11)
-				case 2:
-					o.CSPRequest(name, nil, time.Duration(1+i%9)*time.Millisecond)
-				case 3:
-					o.LoadStats()
+					o.SampleLoad(name, i%7, i%11, p)
 				default:
-					o.CurrentLoad(name)
-					o.QueueDepthNow()
+					o.LoadStats()
 				}
 			}
 		}(g)

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/reliability"
 )
 
-// Observer bundles the three observability pieces — metrics registry, span
-// tracer state, and CSP health scoreboard — behind nil-safe methods, so
+// Observer bundles the observability pieces — metrics registry, span
+// tracer state, and the per-CSP health view — behind nil-safe methods, so
 // core.Client instruments unconditionally and a nil Observer costs one
 // pointer comparison per call site.
 //
@@ -19,13 +21,16 @@ import (
 // all its clients against one, producing a single aggregate snapshot per
 // scenario). The clock is settable because durations must follow the
 // client's vclock.Runtime: core.New points it at the runtime's Now, so
-// netsim virtual-time runs record virtual durations.
+// netsim virtual-time runs record virtual durations. The health view reads
+// the provider model of the client attached last (AttachProviders); the
+// Observer keeps no per-provider state of its own.
 type Observer struct {
-	reg    *Registry
-	health *Scoreboard
+	reg *Registry
 
-	clockMu sync.RWMutex
-	clock   func() time.Time
+	// mu guards the attached client's clock and provider model.
+	mu        sync.RWMutex
+	clock     func() time.Time
+	providers *reliability.Estimator
 
 	nextSpanID atomic.Uint64
 	ring       spanRing
@@ -117,8 +122,7 @@ type Options struct {
 	Load LoadConfig
 }
 
-// NewObserver builds an Observer with a fresh registry, scoreboard, and
-// the real clock (core.New re-points the clock at the client's runtime).
+// NewObserver builds an Observer with a fresh registry and the real clock (core.New re-points the clock at the client's runtime).
 func NewObserver() *Observer {
 	return NewObserverWith(Options{})
 }
@@ -128,7 +132,6 @@ func NewObserverWith(opts Options) *Observer {
 	reg := NewRegistry()
 	o := &Observer{
 		reg:     reg,
-		health:  NewScoreboard(),
 		clock:   time.Now,
 		started: time.Now(),
 		ring:    spanRing{size: opts.SpanRing},
@@ -237,31 +240,23 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Health returns the CSP scoreboard (nil for a nil Observer).
-func (o *Observer) Health() *Scoreboard {
-	if o == nil {
-		return nil
-	}
-	return o.health
-}
-
 // SetClock re-points duration measurement at the given clock (the client's
 // vclock.Runtime Now). Nil-safe; a nil fn is ignored.
 func (o *Observer) SetClock(fn func() time.Time) {
 	if o == nil || fn == nil {
 		return
 	}
-	o.clockMu.Lock()
+	o.mu.Lock()
 	o.clock = fn
 	o.started = fn()
-	o.clockMu.Unlock()
+	o.mu.Unlock()
 }
 
 // now reads the configured clock.
 func (o *Observer) now() time.Time {
-	o.clockMu.RLock()
+	o.mu.RLock()
 	fn := o.clock
-	o.clockMu.RUnlock()
+	o.mu.RUnlock()
 	return fn()
 }
 
@@ -284,23 +279,17 @@ func (o *Observer) RecentSpans() []SpanRecord {
 	return o.ring.recent()
 }
 
-// CSPRequest records one provider contact: the request counter, the
-// success-latency histogram, and the scoreboard. This is the single data
-// path both the selector's inputs and the health view hang off
-// (core.recordResult). Nil-safe.
+// CSPRequest records one provider contact: the request counter and the
+// success-latency histogram (core.recordResult, next to the update of the
+// client's provider record). Nil-safe.
 func (o *Observer) CSPRequest(cspName string, err error, elapsed time.Duration) {
 	if o == nil || cspName == "" {
 		return
 	}
 	o.cspReq.With(cspName, resultLabel(err)).Inc()
-	at := o.now()
 	if err == nil {
 		o.cspReqDur.With(cspName).Observe(elapsed.Seconds())
-		o.health.RecordSuccess(cspName, at, elapsed)
-		o.load.contact(cspName)
-		return
 	}
-	o.health.RecordFailure(cspName, at, err)
 }
 
 // CSPDownState records a marked-down transition of the failure estimator.
@@ -314,7 +303,6 @@ func (o *Observer) CSPDownState(cspName string, down bool) {
 		v = 1
 	}
 	o.cspDown.With(cspName).Set(v)
-	o.health.SetDown(cspName, down)
 	o.rec.cspTransition(cspName, down)
 }
 
@@ -330,7 +318,6 @@ func (o *Observer) CSPBandwidth(cspName string, downBps, upBps float64) {
 	if upBps > 0 {
 		o.cspBw.With(cspName, "up").Set(upBps)
 	}
-	o.health.SetBandwidth(cspName, downBps, upBps)
 }
 
 // TransferEvent is the event→metric bridge: core subscribes it to the
@@ -348,14 +335,12 @@ func (o *Observer) TransferEvent(eventType, cspName, dir string, bytes int64, er
 }
 
 // TransferInFlight records a provider's current in-flight attempt count
-// (the transfer engine's per-CSP gauge) and samples the load-telemetry
-// window. Nil-safe.
+// (the transfer engine's per-CSP gauge). Nil-safe.
 func (o *Observer) TransferInFlight(cspName string, n int) {
 	if o == nil || cspName == "" {
 		return
 	}
 	o.xferInFlight.With(cspName).Set(float64(n))
-	o.load.inFlight(cspName, n)
 }
 
 // TransferInFlightPeak records a provider's high-water in-flight count.
@@ -375,7 +360,6 @@ func (o *Observer) TransferQueueDepth(n int) {
 		return
 	}
 	o.xferQueue.With().Set(float64(n))
-	o.load.queueDepth(n)
 }
 
 // AttemptStart records one transfer-engine attempt starting against a
@@ -567,7 +551,7 @@ type healthzBody struct {
 	CSPs          []CSPHealth `json:"csps"`
 }
 
-// HealthzHandler serves the scoreboard as JSON: 200 with status "ok" when
+// HealthzHandler serves the health view as JSON: 200 with status "ok" when
 // no provider is marked down, "degraded" otherwise (still 200 — the
 // process itself is healthy; per-CSP state is payload, not liveness).
 func (o *Observer) HealthzHandler() http.Handler {
@@ -575,12 +559,17 @@ func (o *Observer) HealthzHandler() http.Handler {
 		return http.NotFoundHandler()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		o.clockMu.RLock()
+		o.mu.RLock()
 		started := o.started
-		o.clockMu.RUnlock()
-		body := healthzBody{Status: "ok", UptimeSeconds: o.now().Sub(started).Seconds(), CSPs: o.health.Snapshot()}
-		if o.health.AnyDown() {
-			body.Status = "degraded"
+		o.mu.RUnlock()
+		body := healthzBody{Status: "ok", UptimeSeconds: o.now().Sub(started).Seconds(), CSPs: o.Health()}
+		if body.CSPs == nil {
+			body.CSPs = []CSPHealth{}
+		}
+		for _, h := range body.CSPs {
+			if h.Down {
+				body.Status = "degraded"
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(body)

@@ -131,7 +131,7 @@ type opLatency struct {
 }
 
 // triggerEWMAWeight smooths the per-op latency estimate. It matches the
-// scoreboard's request-latency smoothing so "anomalous" means the same
+// provider record's request-latency smoothing so "anomalous" means the same
 // thing at both layers.
 const triggerEWMAWeight = 0.3
 
@@ -169,18 +169,6 @@ func (r *FlightRecorder) Config() RecorderConfig {
 		return RecorderConfig{}
 	}
 	return r.cfg
-}
-
-// SetTriggerMultiple re-points the latency-anomaly threshold (core applies
-// Config.FlightTriggerMultiple here). Nil-safe; 0 is ignored, negative
-// disables the latency trigger.
-func (r *FlightRecorder) SetTriggerMultiple(m float64) {
-	if r == nil || m == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.cfg.TriggerMultiple = m
-	r.mu.Unlock()
 }
 
 // record appends one event and returns it with Seq/At stamped. The caller

@@ -241,10 +241,14 @@ func TestTraceIDPropagation(t *testing.T) {
 }
 
 // TestSLOClassification: ops are classified against their objective; the
-// merge semantics (positive set, negative remove) hold.
+// merge semantics (positive set, negative remove, defaults underneath)
+// hold.
 func TestSLOClassification(t *testing.T) {
 	clk := newFakeClock()
-	o := NewObserverWith(Options{SLOObjectives: map[string]time.Duration{"put": 50 * time.Millisecond}})
+	o := NewObserverWith(Options{SLOObjectives: map[string]time.Duration{
+		"put":  50 * time.Millisecond,
+		"sync": -1,
+	}})
 	o.SetClock(clk.now)
 
 	opSpan(o, clk, "put", 30*time.Millisecond, nil)
@@ -260,28 +264,33 @@ func TestSLOClassification(t *testing.T) {
 		t.Errorf("slo_objective{put} = %+v (found=%v), want 0.05", p, ok)
 	}
 
-	// Removing the objective stops tracking.
-	o.SetSLOObjectives(map[string]time.Duration{"put": -1})
-	opSpan(o, clk, "put", 500*time.Millisecond, nil)
+	// A removed objective is not tracked: no ok, no breach.
+	opSpan(o, clk, "sync", 500*time.Millisecond, nil)
+	opSpan(o, clk, "sync", time.Hour, nil)
 	s = o.Registry().Snapshot()
-	if p, _ := s.Find(MetricSLOBreach, map[string]string{"op": "put"}); p.Value != 1 {
-		t.Errorf("slo_breach{put} after removal = %v, want unchanged 1", p.Value)
+	for _, name := range []string{MetricSLOOK, MetricSLOBreach} {
+		if p, _ := s.Find(name, map[string]string{"op": "sync"}); p.Value != 0 {
+			t.Errorf("%s{sync} = %v after removal, want 0", name, p.Value)
+		}
 	}
-	if obj := o.SLOObjectives(); obj["get"] != DefaultSLOObjectives["get"] {
+	obj := o.SLOObjectives()
+	if _, ok := obj["sync"]; ok {
+		t.Errorf("removed objective still configured: %v", obj["sync"])
+	}
+	if obj["get"] != DefaultSLOObjectives["get"] {
 		t.Errorf("default objective for get = %v, want %v", obj["get"], DefaultSLOObjectives["get"])
 	}
 }
 
-// TestLoadTelemetry: in-flight updates and provider contacts sample the
-// per-CSP window, with predicted completion stacking the EWMA behind the
-// current in-flight count.
+// TestLoadTelemetry: engine samples land in the per-CSP window, with
+// predicted completion stacking the EWMA behind the current in-flight
+// count.
 func TestLoadTelemetry(t *testing.T) {
 	clk := newFakeClock()
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 4, SampleInterval: -1}})
 	o.SetClock(clk.now)
 
-	o.CSPRequest("cspa", nil, 100*time.Millisecond) // EWMA = 0.1s
-	o.TransferInFlight("cspa", 3)
+	o.SampleLoad("cspa", 3, 0, latencyOf("cspa", 100*time.Millisecond))
 	loads := o.LoadStats()
 	if len(loads) != 1 || loads[0].CSP != "cspa" {
 		t.Fatalf("loads = %+v, want one cspa entry", loads)
@@ -297,7 +306,7 @@ func TestLoadTelemetry(t *testing.T) {
 	// The window is bounded: 10 more samples keep only the last 4.
 	for i := 0; i < 10; i++ {
 		clk.advance(time.Second)
-		o.TransferInFlight("cspa", i)
+		o.SampleLoad("cspa", i, 0, latencyOf("cspa", 100*time.Millisecond))
 	}
 	loads = o.LoadStats()
 	if n := len(loads[0].Window); n != 4 {
@@ -322,19 +331,19 @@ func TestLoadSampleSpacing(t *testing.T) {
 	o := NewObserverWith(Options{Load: LoadConfig{Window: 16, SampleInterval: 100 * time.Millisecond}})
 	o.SetClock(clk.now)
 	for i := 0; i < 10; i++ {
-		o.TransferInFlight("cspa", i) // same instant: only the first lands
+		o.SampleLoad("cspa", i, 0, noLatency) // same instant: only the first lands
 	}
 	if n := len(o.LoadStats()[0].Window); n != 1 {
 		t.Errorf("window holds %d samples at one instant, want 1", n)
 	}
 	clk.advance(time.Second)
-	o.TransferInFlight("cspa", 1)
+	o.SampleLoad("cspa", 1, 0, noLatency)
 	if n := len(o.LoadStats()[0].Window); n != 2 {
 		t.Errorf("window holds %d samples after spacing elapsed, want 2", n)
 	}
 	// The decrement to idle bypasses the gate: without it the window's
 	// newest sample would report the provider as loaded forever.
-	o.TransferInFlight("cspa", 0)
+	o.SampleLoad("cspa", 0, 0, noLatency)
 	loads := o.LoadStats()
 	if n := len(loads[0].Window); n != 3 {
 		t.Errorf("window holds %d samples after idle transition, want 3", n)
@@ -359,8 +368,8 @@ func TestNewFamiliesExposition(t *testing.T) {
 
 	opSpan(o, clk, "put", 500*time.Millisecond, nil) // ok
 	opSpan(o, clk, "put", 2*time.Second, nil)        // breach
-	o.CSPRequest("cspa", nil, 200*time.Millisecond)
-	o.TransferInFlight("cspa", 1)
+	o.SampleLoad("cspa", 0, 0, latencyOf("cspa", 200*time.Millisecond))
+	o.SampleLoad("cspa", 1, 0, latencyOf("cspa", 200*time.Millisecond))
 	o.FlightDump(TriggerManual, "exposition")
 
 	var b strings.Builder
@@ -410,6 +419,7 @@ func TestRecorderConcurrency(t *testing.T) {
 				o.TransferRetry(ctx, cspName, "download")
 				o.TransferHedge(ctx, "launched")
 				o.TransferInFlight(cspName, i%4)
+				o.SampleLoad(cspName, i%4, i%3, noLatency)
 				o.CSPRequest(cspName, nil, time.Millisecond)
 				o.CSPDownState(cspName, i%7 == 0)
 				o.PipelineStall(ctx, "put")

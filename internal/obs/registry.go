@@ -2,11 +2,13 @@
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms)
 // with Prometheus text-format and expvar export, lightweight span tracing
 // driven by the client's vclock.Runtime clock (so netsim virtual-time runs
-// trace correctly), and a per-CSP health scoreboard.
+// trace correctly), and a per-CSP health view over the client's provider
+// record.
 //
 // The package deliberately depends on nothing outside the standard
-// library: internal/core feeds it, internal/resthttp serves it, and the
-// chaos harness snapshots it, so it must sit below all of them in the
+// library but internal/reliability (itself stdlib-only), which defines
+// that record: internal/core feeds it, internal/resthttp serves it, and
+// the chaos harness snapshots it, so it must sit below all of them in the
 // import graph.
 package obs
 
@@ -85,8 +87,8 @@ const (
 	// Flight recorder (obs/recorder.go).
 	MetricFlightTriggers = "cyrus_flight_triggers_total"
 
-	// Load telemetry (obs/loadstats.go): the load-aware scheduler's input
-	// vector, sampled on transfer-engine events.
+	// Load telemetry (obs/loadstats.go): the transfer engine's load
+	// vector, sampled on its own events.
 	MetricLoadEWMA      = "cyrus_load_ewma_latency_seconds"
 	MetricLoadPredicted = "cyrus_load_predicted_completion_seconds"
 	MetricLoadSamples   = "cyrus_load_samples_total"

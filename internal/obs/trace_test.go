@@ -85,7 +85,9 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.CSPBandwidth("a", 1, 1)
 	o.TransferEvent("PUT", "a", "up", 10, nil)
 	o.SelectorPick("a")
+	o.SampleLoad("a", 1, 1, latencyOf("a", time.Second))
 	o.SetClock(time.Now)
+	o.AttachProviders(noLatency)
 	if o.Registry() != nil || o.Health() != nil || o.RecentSpans() != nil {
 		t.Error("nil observer leaked non-nil state")
 	}

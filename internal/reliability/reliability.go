@@ -1,5 +1,7 @@
 // Package reliability implements CYRUS's privacy/reliability parameter
-// planning (paper §4.2) and CSP failure estimation (paper §5.5).
+// planning (paper §4.2) and the client's per-provider record
+// (provider.go), which carries the CSP failure estimate (paper §5.5) next
+// to the link, latency and hedging statistics.
 //
 // The user picks the privacy level t (shares — hence CSPs — required to
 // reconstruct a chunk) and a reliability bound ε on the probability that a
@@ -17,9 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"time"
 )
 
 // Errors returned by the planner.
@@ -139,140 +138,4 @@ func Choose(t int, p, eps float64, available int) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{T: t, N: n}, nil
-}
-
-// ---------------------------------------------------------------------------
-// CSP failure estimation (paper §4.2 footnote and §5.5)
-//
-// "The failure probability of any given CSP ... is estimated using the
-// number of consistent failed attempts to contact CSPs. Users specify a
-// threshold, e.g., one day, of time; if a CSP cannot be contacted for that
-// length of time, then we count a CSP failure."
-
-// Estimator tracks contact attempts per CSP and derives failure
-// probabilities and down/up state. It is safe for concurrent use.
-type Estimator struct {
-	mu        sync.Mutex
-	threshold time.Duration
-	states    map[string]*cspState
-}
-
-type cspState struct {
-	firstFailure time.Time // zero when the last attempt succeeded
-	failing      bool
-	failures     int // completed failure episodes (outages >= threshold)
-	attempts     int
-	failedTries  int
-	down         bool // currently counted as failed
-}
-
-// NewEstimator returns an estimator counting an outage once a CSP has been
-// unreachable for the given threshold (the paper suggests one day).
-func NewEstimator(threshold time.Duration) *Estimator {
-	if threshold <= 0 {
-		threshold = 24 * time.Hour
-	}
-	return &Estimator{threshold: threshold, states: make(map[string]*cspState)}
-}
-
-func (e *Estimator) state(csp string) *cspState {
-	s, ok := e.states[csp]
-	if !ok {
-		s = &cspState{}
-		e.states[csp] = s
-	}
-	return s
-}
-
-// RecordSuccess notes a successful contact with the CSP at time now. It
-// returns the CSP's down state after the call (always false) and whether
-// this call changed it — i.e. a down→up recovery. Returning the transition
-// from under the estimator's own lock lets callers drive per-transition
-// hooks (gauges, scoreboards) without a racy read-then-record sequence.
-func (e *Estimator) RecordSuccess(csp string, now time.Time) (down, changed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.state(csp)
-	s.attempts++
-	s.failing = false
-	s.firstFailure = time.Time{}
-	changed = s.down
-	s.down = false
-	return false, changed
-}
-
-// RecordFailure notes a failed contact at time now. Once failures have been
-// consistent for the threshold duration, the CSP is marked down and one
-// failure episode is counted. Like RecordSuccess, it returns the down state
-// after the call and whether this call transitioned it (up→down).
-func (e *Estimator) RecordFailure(csp string, now time.Time) (down, changed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.state(csp)
-	s.attempts++
-	s.failedTries++
-	if !s.failing {
-		s.failing = true
-		s.firstFailure = now
-		return s.down, false
-	}
-	if !s.down && now.Sub(s.firstFailure) >= e.threshold {
-		s.down = true
-		s.failures++
-		return true, true
-	}
-	return s.down, false
-}
-
-// Down reports whether the CSP is currently considered failed.
-func (e *Estimator) Down(csp string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state(csp).down
-}
-
-// FailureProb estimates the failure probability of the CSP as the fraction
-// of failed contact attempts; returns fallback when there is no history.
-func (e *Estimator) FailureProb(csp string, fallback float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.states[csp]
-	if !ok || s.attempts == 0 {
-		return fallback
-	}
-	return float64(s.failedTries) / float64(s.attempts)
-}
-
-// Failures returns the number of completed outage episodes for the CSP.
-func (e *Estimator) Failures(csp string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state(csp).failures
-}
-
-// MaxFailureProb returns the largest estimated failure probability across
-// the given CSPs — the conservative p the planner should use (footnote 6).
-func (e *Estimator) MaxFailureProb(csps []string, fallback float64) float64 {
-	p := 0.0
-	for _, c := range csps {
-		if q := e.FailureProb(c, fallback); q > p {
-			p = q
-		}
-	}
-	if p == 0 {
-		return fallback
-	}
-	return p
-}
-
-// Tracked returns the CSPs with recorded history, sorted.
-func (e *Estimator) Tracked() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.states))
-	for c := range e.states {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

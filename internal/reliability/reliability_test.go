@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestFailureProbabilityKnownValues(t *testing.T) {
@@ -213,122 +212,5 @@ func TestFailureProbFromDowntime(t *testing.T) {
 	want := 18.53 / 8760
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("downtime 18.53h -> %g, want %g", got, want)
-	}
-}
-
-func TestEstimatorOutageDetection(t *testing.T) {
-	e := NewEstimator(24 * time.Hour)
-	t0 := time.Date(2014, 7, 1, 0, 0, 0, 0, time.UTC)
-
-	e.RecordFailure("box", t0)
-	if e.Down("box") {
-		t.Fatal("down after a single failure")
-	}
-	e.RecordFailure("box", t0.Add(12*time.Hour))
-	if e.Down("box") {
-		t.Fatal("down before threshold elapsed")
-	}
-	e.RecordFailure("box", t0.Add(25*time.Hour))
-	if !e.Down("box") {
-		t.Fatal("not down after threshold of consistent failures")
-	}
-	if e.Failures("box") != 1 {
-		t.Fatalf("failures = %d, want 1", e.Failures("box"))
-	}
-	// Still one episode while the outage continues.
-	e.RecordFailure("box", t0.Add(30*time.Hour))
-	if e.Failures("box") != 1 {
-		t.Fatalf("failures = %d, want 1 (same episode)", e.Failures("box"))
-	}
-	// Recovery clears down state.
-	e.RecordSuccess("box", t0.Add(31*time.Hour))
-	if e.Down("box") {
-		t.Fatal("down after success")
-	}
-	// A new outage is a new episode.
-	e.RecordFailure("box", t0.Add(40*time.Hour))
-	e.RecordFailure("box", t0.Add(70*time.Hour))
-	if e.Failures("box") != 2 {
-		t.Fatalf("failures = %d, want 2", e.Failures("box"))
-	}
-}
-
-// TestEstimatorTransitionReturns: RecordSuccess/RecordFailure report the
-// down state and whether the call transitioned it, atomically under the
-// estimator's lock, so callers never pair a racy Down() read with the
-// mutation.
-func TestEstimatorTransitionReturns(t *testing.T) {
-	e := NewEstimator(24 * time.Hour)
-	t0 := time.Date(2014, 7, 1, 0, 0, 0, 0, time.UTC)
-
-	if down, changed := e.RecordFailure("box", t0); down || changed {
-		t.Fatalf("first failure = (%v, %v), want (false, false)", down, changed)
-	}
-	if down, changed := e.RecordFailure("box", t0.Add(25*time.Hour)); !down || !changed {
-		t.Fatalf("threshold failure = (%v, %v), want (true, true)", down, changed)
-	}
-	// Already down: further failures are not transitions.
-	if down, changed := e.RecordFailure("box", t0.Add(30*time.Hour)); !down || changed {
-		t.Fatalf("repeat failure while down = (%v, %v), want (true, false)", down, changed)
-	}
-	if down, changed := e.RecordSuccess("box", t0.Add(31*time.Hour)); down || !changed {
-		t.Fatalf("recovery = (%v, %v), want (false, true)", down, changed)
-	}
-	// Already up: further successes are not transitions.
-	if down, changed := e.RecordSuccess("box", t0.Add(32*time.Hour)); down || changed {
-		t.Fatalf("repeat success while up = (%v, %v), want (false, false)", down, changed)
-	}
-}
-
-func TestEstimatorInterruptedOutageDoesNotCount(t *testing.T) {
-	e := NewEstimator(24 * time.Hour)
-	t0 := time.Now()
-	e.RecordFailure("s3", t0)
-	e.RecordSuccess("s3", t0.Add(12*time.Hour))
-	e.RecordFailure("s3", t0.Add(13*time.Hour))
-	e.RecordFailure("s3", t0.Add(30*time.Hour)) // only 17h of consistent failure
-	if e.Down("s3") {
-		t.Fatal("interrupted failures counted as outage")
-	}
-}
-
-func TestEstimatorFailureProb(t *testing.T) {
-	e := NewEstimator(time.Hour)
-	if got := e.FailureProb("none", 0.42); got != 0.42 {
-		t.Fatalf("fallback = %g", got)
-	}
-	now := time.Now()
-	e.RecordSuccess("a", now)
-	e.RecordSuccess("a", now)
-	e.RecordFailure("a", now)
-	e.RecordSuccess("a", now)
-	if got := e.FailureProb("a", 0); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("FailureProb = %g, want 0.25", got)
-	}
-}
-
-func TestEstimatorMaxFailureProb(t *testing.T) {
-	e := NewEstimator(time.Hour)
-	now := time.Now()
-	e.RecordSuccess("a", now)
-	e.RecordFailure("b", now)
-	e.RecordSuccess("b", now)
-	got := e.MaxFailureProb([]string{"a", "b", "missing"}, 0.01)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("MaxFailureProb = %g, want 0.5", got)
-	}
-	if got := e.MaxFailureProb(nil, 0.07); got != 0.07 {
-		t.Fatalf("empty MaxFailureProb = %g, want fallback", got)
-	}
-}
-
-func TestEstimatorTracked(t *testing.T) {
-	e := NewEstimator(time.Hour)
-	now := time.Now()
-	e.RecordSuccess("zeta", now)
-	e.RecordFailure("alpha", now)
-	got := e.Tracked()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Tracked = %v", got)
 	}
 }

@@ -53,17 +53,14 @@ func TestRestrictedFallsBackBelowT(t *testing.T) {
 	}
 }
 
-// TestRestrictedComposesWithLoadAware checks the wrapper delegates to a
-// load-aware inner selector and still respects the class subset.
-func TestRestrictedComposesWithLoadAware(t *testing.T) {
+// TestRestrictedComposesWithOptimized checks the wrapper delegates to an
+// explicit inner selector: the plan is the inner's plan over the filtered
+// instance, so it respects the class subset.
+func TestRestrictedComposesWithOptimized(t *testing.T) {
 	in := restrictedInstance()
-	in.Load = &LoadVector{
-		PredictedSeconds: map[string]float64{"a": 0.5, "b": 0.1, "x": 0, "y": 0},
-		InFlight:         map[string]int{"a": 3},
-	}
 	s := Restricted{
 		Allowed: map[string]map[string]bool{"c1": {"a": true, "b": true}},
-		Inner:   LoadAware{},
+		Inner:   Optimized{},
 	}
 	a, err := s.Select(in)
 	if err != nil {
@@ -71,10 +68,26 @@ func TestRestrictedComposesWithLoadAware(t *testing.T) {
 	}
 	for _, c := range a.Pick["c1"] {
 		if c != "a" && c != "b" {
-			t.Fatalf("c1 picked out-of-class source %s under load: %v", c, a.Pick["c1"])
+			t.Fatalf("c1 picked out-of-class source %s: %v", c, a.Pick["c1"])
 		}
 	}
-	if s.Name() != "restricted+loadaware" {
+	filtered := restrictedInstance()
+	filtered.Chunks[0].StoredOn = []string{"a", "b"}
+	want, err := (Optimized{}).Select(filtered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"c1", "c2"} {
+		if len(a.Pick[id]) != len(want.Pick[id]) {
+			t.Fatalf("%s pick = %v, want the inner selector's %v", id, a.Pick[id], want.Pick[id])
+		}
+		for i := range want.Pick[id] {
+			if a.Pick[id][i] != want.Pick[id][i] {
+				t.Fatalf("%s pick = %v, want the inner selector's %v", id, a.Pick[id], want.Pick[id])
+			}
+		}
+	}
+	if s.Name() != "restricted+cyrus" {
 		t.Fatalf("Name() = %q", s.Name())
 	}
 }

@@ -53,40 +53,6 @@ type Instance struct {
 	T         int                // shares to download per chunk
 	LinkBps   map[string]float64 // β̄_c: per-CSP download cap, bytes/sec
 	ClientBps float64            // β: client aggregate cap; 0 = unlimited
-
-	// Load, when non-nil, carries the live load vector sampled at plan
-	// time for load-aware selectors (LoadAware). Selectors that ignore it
-	// (Optimized and the baselines) behave identically with or without
-	// it. Plain data, not a callback: the caller snapshots its observer
-	// once, keeping Select deterministic and netsim-safe.
-	Load *LoadVector
-}
-
-// LoadVector is the plan-time load snapshot: predicted completion time
-// and in-flight attempt count per CSP, plus the transfer engine's global
-// admission-queue depth. The package stays dependency-free — core copies
-// these out of obs.LoadSample.
-type LoadVector struct {
-	PredictedSeconds map[string]float64
-	InFlight         map[string]int
-	QueueDepth       int
-}
-
-// loaded reports whether the vector shows any actual load (work in
-// flight or queued anywhere) — the LoadAware/fallback switch.
-func (lv *LoadVector) loaded() bool {
-	if lv == nil {
-		return false
-	}
-	if lv.QueueDepth > 0 {
-		return true
-	}
-	for _, n := range lv.InFlight {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks instance consistency.

@@ -2,102 +2,45 @@ package transfer
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
 // Load-adaptive hedge scheduling: the actuator half of the redundancy
-// control loop (ROADMAP item 5). The sensors live in obs/loadstats.go —
-// per-CSP in-flight, global admission-queue depth, and the scoreboard's
-// latency EWMA. This file closes the loop:
+// control loop. Its inputs are the engine's own load vector — per-CSP
+// in-flight attempts and the global admission-queue depth, read straight
+// from the semaphore — and the client's provider record (the latency
+// sample count and the adaptive hedge multiple):
 //
-//	loadstats ──► HedgeAfter ──► hedge watchdog (Op.Hedged) / race extras
+//	semaphore ──► HedgeAfter ──► hedge watchdog (Op.Hedged) / race extras
 //	                 ▲                   │
-//	                 └── hedgeController ┘  (win/loss feedback)
+//	                 └─ provider record ─┘  (win/loss feedback)
 //
 // Three decisions are made per hedge, in order. (1) Arming: a provider
 // whose EWMA was fed by fewer than HedgeMinSamples successes does not
 // hedge at all — a cold estimate seeded from one fast sample would fire a
-// hedge storm. (2) Suppression: past the Ghosh crossover (queue depth or
-// provider saturation over HedgeLoadThreshold) redundancy is withheld
-// entirely, because an extra request would join the congestion it is
-// dodging. (3) Deadline: the trigger delay is the per-CSP effective
-// multiple times the predicted completion under current load,
-// expected x (1 + in-flight), not the open-loop HedgeMultiple x EWMA.
-// Every input is a deterministic function of recorded transfer events, so
-// netsim runs replay identically.
-
-const (
-	// hedgeWinDecay shrinks a provider's effective multiple after a backup
-	// win: hedges against it are paying off, fire a little earlier.
-	hedgeWinDecay = 0.85
-	// hedgeLossGrowth stretches the multiple after a wasted hedge (backup
-	// launched, primary won anyway): back off before redundancy feeds load.
-	hedgeLossGrowth = 1.25
-	// hedgeMultMinFrac / hedgeMultMaxFrac bound the effective multiple to
-	// [base x min, base x max] so a burst of one outcome cannot pin the
-	// controller at an extreme.
-	hedgeMultMinFrac = 0.5
-	hedgeMultMaxFrac = 4.0
-)
-
-// hedgeController auto-tunes the effective hedge multiple per provider
-// from observed hedge outcomes. Movements are fixed multiplicative steps
-// on win/loss events only, so the state is a deterministic fold over the
-// outcome sequence.
-type hedgeController struct {
-	mu   sync.Mutex
-	base float64
-	per  map[string]float64
-}
-
-func newHedgeController(base float64) *hedgeController {
-	return &hedgeController{base: base, per: make(map[string]float64)}
-}
-
-// multiple returns the provider's current effective hedge multiple.
-func (h *hedgeController) multiple(cspName string) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if m, ok := h.per[cspName]; ok {
-		return m
-	}
-	return h.base
-}
-
-// outcome folds one resolved hedge in.
-func (h *hedgeController) outcome(cspName string, win bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.per[cspName]
-	if !ok {
-		m = h.base
-	}
-	if win {
-		m *= hedgeWinDecay
-		if lo := h.base * hedgeMultMinFrac; m < lo {
-			m = lo
-		}
-	} else {
-		m *= hedgeLossGrowth
-		if hi := h.base * hedgeMultMaxFrac; m > hi {
-			m = hi
-		}
-	}
-	h.per[cspName] = m
-}
+// hedge storm. (2) Suppression: past the Ghosh crossover (queue depth over
+// HedgeLoadThreshold) redundancy is withheld entirely, because an extra
+// request would join the congestion it is dodging. (3) Deadline: the
+// trigger delay is the per-CSP adaptive multiple times the predicted
+// completion under current load, expected x (1 + in-flight), not the
+// open-loop HedgeMultiple x EWMA. Every input is a deterministic function
+// of this engine's recorded transfer events, so netsim runs replay
+// identically, and engines sharing an Observer never read each other's
+// load.
 
 // HedgeMultipleFor returns the effective (adaptively tuned) hedge multiple
 // currently in force for one provider — observability for tests and tools.
-func (e *Engine) HedgeMultipleFor(cspName string) float64 { return e.hedge.multiple(cspName) }
+func (e *Engine) HedgeMultipleFor(cspName string) float64 {
+	return e.providers.HedgeMultiple(cspName, e.tun.HedgeMultiple)
+}
 
 // HedgeAfter converts an expected attempt latency into the hedge trigger
 // delay for one provider, or 0 when no hedge should arm: hedging disabled,
 // expectation unknown, the provider's EWMA not yet fed by HedgeMinSamples
 // successes (cold start), or load past the Ghosh crossover (suppression —
 // counted in cyrus_hedge_suppressed_total). With HedgeFixed set the
-// constant delay is returned verbatim; with HedgeStatic set, or with
-// no observer to read load from, the open-loop HedgeMultiple x expected
+// constant delay is returned verbatim; with HedgeStatic set, or on an
+// engine without an observer, the open-loop HedgeMultiple x expected
 // deadline is returned instead. Callers treat 0 as "sequential failover
 // only". ctx is only used to stamp flight-recorder events.
 func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.Duration) time.Duration {
@@ -113,19 +56,25 @@ func (e *Engine) HedgeAfter(ctx context.Context, cspName string, expected time.D
 	if e.tun.HedgeStatic || e.obs == nil {
 		return clampHedge(time.Duration(e.tun.HedgeMultiple * float64(expected)))
 	}
-	if e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples) {
+	if e.cold(cspName) {
 		e.obs.HedgeSuppressed(ctx, cspName, "cold")
 		return 0
 	}
-	load, _ := e.obs.CurrentLoad(cspName)
-	if e.overloaded(load.QueueDepth) {
+	inFlight, queue := e.sem.load(cspName)
+	if e.overloaded(queue) {
 		e.obs.HedgeSuppressed(ctx, cspName, "load")
 		return 0
 	}
 	// Predicted completion under current load: the expectation stacked
 	// behind the attempts already in flight at this provider.
-	predicted := float64(expected) * float64(1+load.InFlight)
-	return clampHedge(time.Duration(e.hedge.multiple(cspName) * predicted))
+	predicted := float64(expected) * float64(1+inFlight)
+	return clampHedge(time.Duration(e.HedgeMultipleFor(cspName) * predicted))
+}
+
+// cold reports whether too few successful contacts have fed the
+// provider's latency EWMA to arm a hedge against it.
+func (e *Engine) cold(cspName string) bool {
+	return e.tun.HedgeMinSamples > 0 && e.providers.Samples(cspName) < int64(e.tun.HedgeMinSamples)
 }
 
 // clampHedge floors the trigger delay: below hedgeFloor, scheduling noise
@@ -137,8 +86,8 @@ func clampHedge(d time.Duration) time.Duration {
 	return d
 }
 
-// overloaded is the Ghosh crossover test against the live load vector:
-// true once the global admission queue reaches HedgeLoadThreshold of the
+// overloaded is the Ghosh crossover test against the engine's own load
+// vector: true once its admission queue reaches HedgeLoadThreshold of the
 // in-flight capacity. The signal is deliberately global, not per-CSP — a
 // redundant request costs a global slot and lands on a *different*
 // provider than the slow primary, so a saturated primary is an argument
@@ -152,21 +101,22 @@ func (e *Engine) overloaded(queue int) bool {
 	return float64(queue) >= thr*float64(e.tun.MaxInFlight)
 }
 
-// LoadPermits reports whether launching a purely redundant attempt against
-// the provider is currently sound — the gate race-read extras and tools
-// consult. An empty provider name checks only the global queue signal.
-// True without an observer (no load signal, assume idle).
-func (e *Engine) LoadPermits(cspName string) bool {
+// LoadPermits reports whether launching a purely redundant attempt is
+// currently sound — the gate race-read extras consult. Like hedging, it
+// is open loop (always true) without an observer and under the static
+// hedge policies.
+func (e *Engine) LoadPermits() bool {
 	if e.obs == nil || e.tun.HedgeStatic || e.tun.HedgeFixed > 0 {
 		return true
 	}
-	queue := e.obs.QueueDepthNow()
-	if cspName != "" {
-		if s, ok := e.obs.CurrentLoad(cspName); ok {
-			queue = s.QueueDepth
-		}
-	}
-	return !e.overloaded(queue)
+	return !e.overloaded(e.QueueDepth())
+}
+
+// QueueDepth returns how many attempts are waiting for an in-flight slot
+// on this engine.
+func (e *Engine) QueueDepth() int {
+	_, queue := e.sem.load("")
+	return queue
 }
 
 // HedgeState reports why the engine would currently withhold a hedge
@@ -180,11 +130,9 @@ func (e *Engine) HedgeState(cspName string) string {
 		return "off"
 	case e.tun.HedgeStatic || e.tun.HedgeFixed > 0 || e.obs == nil:
 		return ""
-	case e.tun.HedgeMinSamples > 0 && e.obs.Health().Samples(cspName) < int64(e.tun.HedgeMinSamples):
+	case e.cold(cspName):
 		return "cold"
-	}
-	load, _ := e.obs.CurrentLoad(cspName)
-	if e.overloaded(load.QueueDepth) {
+	case !e.LoadPermits():
 		return "load"
 	}
 	return ""

@@ -47,8 +47,8 @@ func (o *Op) Race(ctx context.Context, atts []Attempt, need, extra int, next fun
 	latch.Add(1)
 
 	// Redundant lanes only launch while global utilization leaves room for
-	// them; "" consults the global queue signal without pinning a provider.
-	if extra > 0 && !e.LoadPermits("") {
+	// them.
+	if extra > 0 && !e.LoadPermits() {
 		extra = 0
 	}
 	lanes := len(atts) + extra

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/reliability"
 	"repro/internal/vclock"
 )
 
@@ -11,10 +12,13 @@ import (
 // on a fresh Runtime group (never a channel), so waiting parks correctly
 // under both real goroutines and netsim virtual time. Slots are handed
 // off releaser-to-waiter in FIFO order per admissibility: release scans
-// the queue and admits every waiter the freed capacity now allows.
+// the queue and admits every waiter the freed capacity now allows. Its
+// counters are the engine's load vector (load), and every in-flight
+// change samples them into the observer's load window.
 type semaphore struct {
-	rt  vclock.Runtime
-	obs *obs.Observer
+	rt        vclock.Runtime
+	obs       *obs.Observer
+	providers *reliability.Estimator // latency EWMA for load samples
 
 	mu         sync.Mutex
 	globalCap  int
@@ -30,10 +34,11 @@ type semWaiter struct {
 	g   vclock.Group
 }
 
-func newSemaphore(rt vclock.Runtime, o *obs.Observer, globalCap, perCap int) *semaphore {
+func newSemaphore(rt vclock.Runtime, o *obs.Observer, p *reliability.Estimator, globalCap, perCap int) *semaphore {
 	return &semaphore{
 		rt:        rt,
 		obs:       o,
+		providers: p,
 		globalCap: globalCap,
 		perCap:    perCap,
 		used:      make(map[string]int),
@@ -53,7 +58,27 @@ func (s *semaphore) admitLocked(cspName string) bool {
 		s.obs.TransferInFlightPeak(cspName, s.peak[cspName])
 	}
 	s.obs.TransferInFlight(cspName, s.used[cspName])
+	s.sampleLocked(cspName)
 	return true
+}
+
+// sampleLocked feeds the provider's current load into the observer's load
+// window. Caller holds mu.
+func (s *semaphore) sampleLocked(cspName string) {
+	if s.obs != nil {
+		s.obs.SampleLoad(cspName, s.used[cspName], len(s.waiters), s.providers)
+	}
+}
+
+// contact samples the load window after a successful provider contact —
+// the moment the provider's latency EWMA just moved.
+func (s *semaphore) contact(cspName string) {
+	if s.obs == nil {
+		return
+	}
+	s.mu.Lock()
+	s.sampleLocked(cspName)
+	s.mu.Unlock()
 }
 
 // acquire blocks until a slot for cspName is available.
@@ -77,6 +102,7 @@ func (s *semaphore) release(cspName string) {
 	s.globalUsed--
 	s.used[cspName]--
 	s.obs.TransferInFlight(cspName, s.used[cspName])
+	s.sampleLocked(cspName)
 	for i := 0; i < len(s.waiters); {
 		w := s.waiters[i]
 		if !s.admitLocked(w.csp) {
@@ -90,11 +116,12 @@ func (s *semaphore) release(cspName string) {
 	s.mu.Unlock()
 }
 
-// inFlight returns the current in-flight count for one provider (tests).
-func (s *semaphore) inFlight(cspName string) int {
+// load returns the engine's live load vector for one provider: its
+// in-flight attempts and the global admission-queue depth.
+func (s *semaphore) load(cspName string) (inFlight, queue int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.used[cspName]
+	return s.used[cspName], len(s.waiters)
 }
 
 // peakInFlight returns the high-water in-flight count for one provider.

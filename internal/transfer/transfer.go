@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/csp"
 	"repro/internal/obs"
+	"repro/internal/reliability"
 	"repro/internal/vclock"
 )
 
@@ -142,10 +143,14 @@ type Config struct {
 	Obs *obs.Observer
 	// Report is called once per finished attempt with the provider name,
 	// the operation kind, the outcome, payload bytes, and elapsed time on
-	// the Runtime clock — core points this at recordResult, keeping the
-	// estimator/scoreboard/bandwidth path identical to the pre-engine
-	// code. Optional.
+	// the Runtime clock — core points this at recordResult, which folds
+	// the attempt into Providers. Optional.
 	Report func(cspName, kind string, err error, bytes int64, elapsed time.Duration)
+	// Providers is the client's per-provider record. The hedger reads its
+	// latency sample counts and adaptive multiples from it and feeds hedge
+	// outcomes back; the client keeps the rest of it current through
+	// Report. nil gives the engine a private, empty record.
+	Providers *reliability.Estimator
 	// Tunables bound scheduling and retries.
 	Tunables Tunables
 }
@@ -153,12 +158,12 @@ type Config struct {
 // Engine schedules provider attempts. One engine per client; safe for
 // concurrent use.
 type Engine struct {
-	rt     vclock.Runtime
-	obs    *obs.Observer
-	report func(cspName, kind string, err error, bytes int64, elapsed time.Duration)
-	tun    Tunables
-	sem    *semaphore
-	hedge  *hedgeController
+	rt        vclock.Runtime
+	obs       *obs.Observer
+	report    func(cspName, kind string, err error, bytes int64, elapsed time.Duration)
+	providers *reliability.Estimator
+	tun       Tunables
+	sem       *semaphore
 }
 
 // New builds an engine. Config.Runtime is required.
@@ -166,14 +171,17 @@ func New(cfg Config) *Engine {
 	if cfg.Runtime == nil {
 		cfg.Runtime = vclock.Real()
 	}
+	if cfg.Providers == nil {
+		cfg.Providers = reliability.NewEstimator(0, nil)
+	}
 	tun := cfg.Tunables.withDefaults()
 	return &Engine{
-		rt:     cfg.Runtime,
-		obs:    cfg.Obs,
-		report: cfg.Report,
-		tun:    tun,
-		sem:    newSemaphore(cfg.Runtime, cfg.Obs, tun.MaxInFlight, tun.PerCSP),
-		hedge:  newHedgeController(tun.HedgeMultiple),
+		rt:        cfg.Runtime,
+		obs:       cfg.Obs,
+		report:    cfg.Report,
+		providers: cfg.Providers,
+		tun:       tun,
+		sem:       newSemaphore(cfg.Runtime, cfg.Obs, cfg.Providers, tun.MaxInFlight, tun.PerCSP),
 	}
 }
 
@@ -367,6 +375,7 @@ func (e *Engine) do(ctx context.Context, o *Op, a Attempt) error {
 			a.Done(err, bytes, elapsed)
 		}
 		if err == nil {
+			e.sem.contact(a.CSP)
 			return nil
 		}
 		lastErr = err
@@ -466,14 +475,14 @@ func (o *Op) Hedged(ctx context.Context, a Attempt, hedgeAfter time.Duration, ne
 						// observes the win as soon as Hedged returns.
 						e.obs.TransferHedge(hctx, "win")
 						e.obs.HedgeOutcome(hctx, primaryCSP, true)
-						e.hedge.outcome(primaryCSP, true)
+						e.providers.HedgeOutcome(primaryCSP, true, e.tun.HedgeMultiple)
 					} else if launched {
 						// The backup launched but the primary won anyway:
 						// the redundant request was waste. The adaptive
 						// controller stretches this provider's effective
 						// multiple so the next hedge fires later.
 						e.obs.HedgeOutcome(hctx, primaryCSP, false)
-						e.hedge.outcome(primaryCSP, false)
+						e.providers.HedgeOutcome(primaryCSP, false, e.tun.HedgeMultiple)
 					}
 					latch.Done()
 				}
